@@ -24,13 +24,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.stats import beta as _beta_dist
 
 from .criterion import (
     FidelityPair,
     OverlapPair,
     Verdict,
+    _minimize_bounded,
     qd_criterion,
     total_nonorthogonality,
 )
@@ -120,10 +119,12 @@ def estimate_fidelity_from_clicks(
         raise ValueError("vacuum count must lie in [0, n_trials]")
     if not (0.0 < confidence < 1.0):
         raise ValueError("confidence must lie in (0, 1)")
+    from scipy.special import betaincinv
+
     tail = 0.5 * (1.0 - confidence)
     k, n = n_vacuum, n_trials
-    low = 0.0 if k == 0 else float(_beta_dist.ppf(tail, k, n - k + 1))
-    high = 1.0 if k == n else float(_beta_dist.ppf(1.0 - tail, k + 1, n - k))
+    low = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, tail))
+    high = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - tail))
     return k / n, (low, high)
 
 
@@ -230,14 +231,9 @@ def squeezed_storage_analysis(
     k = int(np.argmin(rhs))
     lo = thetas[max(k - 1, 0)]
     hi = thetas[min(k + 1, theta_points - 1)]
-    refined = minimize_scalar(
-        lambda t: _rhs_at(rec, t, mode),
-        bounds=(float(lo), float(hi)),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    if refined.fun <= rhs[k]:
-        theta_min, rhs_min = float(refined.x), float(refined.fun)
+    x, fx = _minimize_bounded(lambda t: _rhs_at(rec, t, mode), float(lo), float(hi))
+    if fx <= rhs[k]:
+        theta_min, rhs_min = float(x), float(fx)
     else:
         theta_min, rhs_min = float(thetas[k]), float(rhs[k])
 

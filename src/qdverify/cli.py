@@ -180,17 +180,36 @@ def _cmd_coherent(args: argparse.Namespace) -> tuple[dict, None, int]:
     return report, None, 0
 
 
+def _record_field(data: dict, key: str):
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"record file is missing key {key!r}") from None
+
+
+def _record_db(data: dict, key: str) -> float:
+    value = _record_field(data, key)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        if number and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        pass
+    raise ValueError(f"record field {key!r} must be a finite number, got {value!r}")
+
+
 def _load_record(args: argparse.Namespace) -> tuple[StorageRecord, str]:
     if args.record is not None:
         data = json.loads(Path(args.record).read_text(encoding="utf-8"))
-        try:
-            rec = StorageRecord(
-                str(data["label"]),
-                SqueezingRecord(float(data["X_db"]), float(data["Y_db"])),
-                SqueezingRecord(float(data["Xp_db"]), float(data["Yp_db"])),
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"record file must hold a JSON object, got {type(data).__name__}"
             )
-        except KeyError as exc:
-            raise ValueError(f"record file is missing key {exc.args[0]!r}") from exc
+        rec = StorageRecord(
+            str(_record_field(data, "label")),
+            SqueezingRecord(_record_db(data, "X_db"), _record_db(data, "Y_db")),
+            SqueezingRecord(_record_db(data, "Xp_db"), _record_db(data, "Yp_db")),
+        )
         mode = args.mode or data.get("mode") or AS_PUBLISHED
         if mode not in (AS_PUBLISHED, PURE_TARGET):
             raise ValueError(f"unknown mode {mode!r} in record file")
@@ -348,6 +367,10 @@ def _coherent_suite(tol: float) -> dict:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> tuple[dict, None, int]:
+    if args.grid_size < 1:
+        raise ValueError(f"--grid-size must be at least 1, got {args.grid_size}")
+    if args.pairs < 1:
+        raise ValueError(f"--pairs must be at least 1, got {args.pairs}")
     override = args.tolerance
     suites = [
         _scheme_suite(args, override if override is not None else SCHEME_SUITE_TOL),

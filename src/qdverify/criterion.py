@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "OverlapPair",
@@ -65,6 +64,94 @@ def _check_unit(name: str, value: float) -> float:
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return value
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_MAXFUN = 500
+
+
+def _sign(x: float) -> float:
+    # np.sign(x) + (x == 0): the direction of a step, +1 when x is zero.
+    return -1.0 if x < 0.0 else 1.0
+
+
+def _minimize_bounded(
+    func, lo: float, hi: float, xatol: float = 1e-12
+) -> tuple[float, float]:
+    """Minimise ``func`` on [lo, hi] by Brent's bounded method (fminbound).
+
+    Golden-section steps with parabolic interpolation, stopping once the
+    bracket is within ``xatol / 3`` plus a relative ``sqrt(eps)`` term of
+    the current best point, or after 500 evaluations.  Step for step the
+    same iteration as ``scipy.optimize.minimize_scalar(method="bounded")``,
+    so it returns the same ``(x, f(x))`` to the last bit without importing
+    scipy.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = x = fulc
+    rat = e = 0.0
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAXFUN:
+            break
+    return xf, fx
 
 
 @dataclass(frozen=True)
@@ -299,11 +386,8 @@ def qd_criterion_numeric(
     k = int(np.argmax(gaps))
     lo = ps[max(k - 1, 0)]
     hi = ps[min(k + 1, grid - 1)]
-    res = minimize_scalar(
-        lambda p: -gap(p), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    sup = max(float(-res.fun), float(gaps[k]))
+    _, neg_sup = _minimize_bounded(lambda p: -gap(p), lo, hi)
+    sup = max(float(-neg_sup), float(gaps[k]))
 
     rhs = lhs - sup
     degenerate = None

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "FockDensity",
@@ -100,6 +99,8 @@ def thermal_fock(nbar: float, dim: int = DEFAULT_DIM) -> FockDensity:
 
 def squeeze_matrix(r: float, dim: int) -> np.ndarray:
     """Squeeze unitary scaling the x1 variance of the vacuum by e**(2r)."""
+    from scipy.linalg import expm
+
     a = destroy(dim)
     gen = 0.5 * r * (a.T @ a.T - a @ a)
     return expm(gen)
@@ -107,6 +108,8 @@ def squeeze_matrix(r: float, dim: int) -> np.ndarray:
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     """Displacement unitary moving the vacuum to the coherent state alpha."""
+    from scipy.linalg import expm
+
     a = destroy(dim).astype(complex)
     gen = alpha * a.conj().T - np.conj(alpha) * a
     return expm(gen)

@@ -96,6 +96,14 @@ class SqueezingRecord:
     antisqueezing_db: float
 
     def __post_init__(self) -> None:
+        for name in ("squeezing_db", "antisqueezing_db"):
+            db = getattr(self, name)
+            if not math.isfinite(db):
+                raise ValueError(f"{name} must be a finite dB value, got {db!r}")
+            try:
+                db_to_linear(db)
+            except OverflowError:
+                raise ValueError(f"{name} of {db!r} dB overflows a variance") from None
         v1, v2 = self.linear_pair
         if v1 * v2 < 1.0 - 1e-6:
             raise ValueError(

@@ -25,9 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .criterion import _check_unit
+from .criterion import _check_unit, _minimize_bounded
 
 __all__ = [
     "EnsembleParams",
@@ -298,14 +297,13 @@ def optimize_scheme(
     values = _projective_value(ep, gamma, gamma_prime, phis)
     k = int(np.argmax(values))
     step = math.pi / resolution
-    res = minimize_scalar(
+    x, fx = _minimize_bounded(
         lambda phi: -_projective_value(ep, gamma, gamma_prime, phi),
-        bounds=(phis[k] - step, phis[k] + step),
-        method="bounded",
-        options={"xatol": 1e-12},
+        phis[k] - step,
+        phis[k] + step,
     )
-    if -res.fun >= values[k]:
-        best_phi, best_value = float(res.x), float(-res.fun)
+    if -fx >= values[k]:
+        best_phi, best_value = float(x), float(-fx)
     else:
         best_phi, best_value = float(phis[k]), float(values[k])
     best_scheme = CQScheme((1.0, 1.0), (best_phi, best_phi + math.pi))

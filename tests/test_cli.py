@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qdverify
 from qdverify.cli import main
 
 RECORD = {
@@ -162,6 +167,24 @@ def test_squeezed_missing_record_key(tmp_path, capsys):
     assert "missing key" in cap.err
 
 
+def test_squeezed_record_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "rec.json"
+    path.write_text("[-2.0, 6.0, -0.07, 0.49]", encoding="utf-8")
+    code, cap = _run(capsys, ["squeezed", "--record", str(path)])
+    assert code == 2
+    assert cap.err.startswith("error:") and "JSON object" in cap.err
+
+
+@pytest.mark.parametrize("key", ["X_db", "Y_db", "Xp_db", "Yp_db"])
+@pytest.mark.parametrize("value", [None, "-2.0", True, math.nan, 10**400])
+def test_squeezed_record_fields_must_be_finite_numbers(tmp_path, capsys, key, value):
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps({**RECORD, key: value}), encoding="utf-8")
+    code, cap = _run(capsys, ["squeezed", "--record", str(path)])
+    assert code == 2
+    assert cap.err.startswith("error:") and repr(key) in cap.err
+
+
 def test_squeezed_direct_flags(capsys):
     code, cap = _run(
         capsys,
@@ -257,6 +280,31 @@ def test_oracle_check_impossible_tolerance(capsys):
     assert code == 3
     report = json.loads(cap.out)
     assert report["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "flags", [["--grid-size", "0"], ["--pairs", "0"], ["--grid-size", "0", "--pairs", "0"]]
+)
+def test_oracle_check_rejects_empty_suites(capsys, flags):
+    code, cap = _run(capsys, ["oracle-check", *flags])
+    assert code == 2
+    assert cap.err.startswith("error:")
+    assert cap.out == ""
+
+
+def test_import_loads_no_scipy():
+    # scipy costs about a second to import; the decision path must not need it
+    src = str(Path(qdverify.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, qdverify, qdverify.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_argparse_exits_map_to_codes(capsys):

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from qdverify.applications import AS_PUBLISHED, BENCHMARK_RECORDS, PURE_TARGET, _rhs_at
 from qdverify.criterion import (
     CLOSED_FORM,
     NUMERIC_SUP,
     FidelityPair,
     OverlapPair,
     PriorEnsemble,
+    _bound,
+    _minimize_bounded,
     boundary_curve,
     classical_fidelity_bound,
     legendre_conjugate,
@@ -17,6 +20,7 @@ from qdverify.criterion import (
     tangency_prior,
     total_nonorthogonality,
 )
+from qdverify.mp_oracle import _projective_value, ensemble_params
 
 # Values computed independently from the defining formulas (exact binomial
 # of square roots, long-double grid sweeps), frozen here.
@@ -301,3 +305,59 @@ def test_boundary_curve_validation():
         boundary_curve(1.0, 10)
     with pytest.raises(ValueError):
         boundary_curve(0.5, 1)
+
+
+def _scipy_bounded(func, lo, hi):
+    minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+    res = minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+    return res.x, res.fun
+
+
+def _same_bits(ours, theirs):
+    return [float(v).hex() for v in ours] == [float(v).hex() for v in theirs]
+
+
+def _gap_objective(a, b, B):
+    return lambda p: -(a + (b - a) * p - _bound(B, p))
+
+
+def test_minimize_bounded_matches_scipy_on_numeric_sup():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        a, b = sorted(rng.uniform(0.0, 1.0, 2))
+        func = _gap_objective(a, b, rng.uniform(0.01, 1.0))
+        lo, hi = sorted(rng.uniform(0.0, 1.0, 2))
+        assert _same_bits(_minimize_bounded(func, lo, hi), _scipy_bounded(func, lo, hi))
+
+
+def test_minimize_bounded_matches_scipy_on_storage_scan():
+    rng = np.random.default_rng(12)
+    for rec in BENCHMARK_RECORDS:
+        for mode in (AS_PUBLISHED, PURE_TARGET):
+            func = lambda t: _rhs_at(rec, t, mode)  # noqa: E731
+            for _ in range(10):
+                lo, hi = sorted(rng.uniform(0.0, 0.5 * math.pi, 2))
+                assert _same_bits(
+                    _minimize_bounded(func, lo, hi), _scipy_bounded(func, lo, hi)
+                )
+
+
+def test_minimize_bounded_matches_scipy_on_scheme_search():
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        gamma, gamma_prime, p_plus = rng.uniform(0.05, 0.95, 3)
+        ep = ensemble_params(gamma, p_plus)
+        func = lambda phi: -_projective_value(ep, gamma, gamma_prime, phi)  # noqa: E731
+        centre = rng.uniform(0.0, math.pi)
+        step = math.pi / int(rng.choice([16, 512, 4096]))
+        lo, hi = centre - step, centre + step
+        assert _same_bits(_minimize_bounded(func, lo, hi), _scipy_bounded(func, lo, hi))
+
+
+def test_minimize_bounded_matches_scipy_at_an_edge():
+    # slope between B and sqrt(B): the gap rises monotonically to p_plus = 1
+    func = _gap_objective(0.3, 0.9, 0.5)
+    lo, hi = 254.0 / 255.0, 1.0
+    x, fx = _minimize_bounded(func, lo, hi)
+    assert 0.0 < hi - x < 1e-7  # within the sqrt(eps)-relative tolerance of hi
+    assert _same_bits((x, fx), _scipy_bounded(func, lo, hi))

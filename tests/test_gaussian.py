@@ -202,6 +202,14 @@ def test_squeezing_record():
         SqueezingRecord(-3.0, 2.0)  # product 10**-0.1, below shot noise
 
 
+@pytest.mark.parametrize("field", ["squeezing_db", "antisqueezing_db"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 4000.0])
+def test_squeezing_record_rejects_non_finite_db(field, value):
+    kwargs = {"squeezing_db": -2.0, "antisqueezing_db": 6.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        SqueezingRecord(**kwargs)
+
+
 def test_mixed_input_gamma_is_the_fidelity():
     g1 = GaussianState(CovMat2.diagonal(1.4, 0.9))
     g2 = GaussianState(rotate_cov(CovMat2.diagonal(1.4, 0.9), 0.6))
