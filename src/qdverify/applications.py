@@ -29,7 +29,7 @@ from .criterion import (
     FidelityPair,
     OverlapPair,
     Verdict,
-    _minimize_bounded,
+    _refine,
     qd_criterion,
     total_nonorthogonality,
 )
@@ -77,6 +77,8 @@ class CoherentTask:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError("alpha must be positive")
+        if not math.isfinite(self.alpha * self.alpha):
+            raise ValueError(f"alpha {self.alpha!r} is too large: alpha**2 overflows")
         if not (0.0 < self.eta <= 1.0):
             raise ValueError("eta must lie in (0, 1]")
 
@@ -191,25 +193,12 @@ def _mode_inputs(rec: StorageRecord, mode: str) -> tuple[float, tuple[float, flo
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _scan(
-    rec: StorageRecord, thetas: np.ndarray, mode: str
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    x_in, y_in = rec.input_state.linear_pair
-    fid, target_pair = _mode_inputs(rec, mode)
-    g_sq = np.asarray(input_overlap_sq(x_in, y_in, thetas))
-    gp_sq = np.asarray(target_overlap_sq(*target_pair, thetas))
+def _curves(input_pair, target_pair, thetas):
+    """Return ``(gamma_sq, gamma_prime_sq, B, rhs)`` at angle(s) ``thetas``."""
+    g_sq = input_overlap_sq(*input_pair, thetas)
+    gp_sq = target_overlap_sq(*target_pair, thetas)
     nonorth = np.maximum((1.0 - gp_sq) * g_sq, 0.0)
-    rhs = 0.5 * (1.0 + np.sqrt(1.0 - nonorth))
-    return fid, g_sq, gp_sq, nonorth, rhs
-
-
-def _rhs_at(rec: StorageRecord, theta: float, mode: str) -> float:
-    x_in, y_in = rec.input_state.linear_pair
-    _, target_pair = _mode_inputs(rec, mode)
-    g_sq = float(input_overlap_sq(x_in, y_in, theta))
-    gp_sq = float(target_overlap_sq(*target_pair, theta))
-    nonorth = max((1.0 - gp_sq) * g_sq, 0.0)
-    return 0.5 * (1.0 + math.sqrt(1.0 - nonorth))
+    return g_sq, gp_sq, nonorth, 0.5 * (1.0 + np.sqrt(1.0 - nonorth))
 
 
 def squeezed_storage_analysis(
@@ -226,26 +215,22 @@ def squeezed_storage_analysis(
     if theta_points < MIN_THETA_POINTS:
         raise ValueError(f"need at least {MIN_THETA_POINTS} grid points")
     thetas = np.linspace(0.0, 0.5 * math.pi, theta_points)
-    fid, g_sq, gp_sq, nonorth, rhs = _scan(rec, thetas, mode)
+    input_pair = rec.input_state.linear_pair
+    fid, target_pair = _mode_inputs(rec, mode)
+    g_sq, gp_sq, nonorth, rhs = _curves(input_pair, target_pair, thetas)
 
     k = int(np.argmin(rhs))
-    lo = thetas[max(k - 1, 0)]
-    hi = thetas[min(k + 1, theta_points - 1)]
-    x, fx = _minimize_bounded(lambda t: _rhs_at(rec, t, mode), float(lo), float(hi))
-    if fx <= rhs[k]:
-        theta_min, rhs_min = float(x), float(fx)
-    else:
-        theta_min, rhs_min = float(thetas[k]), float(rhs[k])
+    x, fx = _refine(
+        lambda t: float(_curves(input_pair, target_pair, t)[3]),
+        float(thetas[max(k - 1, 0)]), float(thetas[min(k + 1, theta_points - 1)]),
+        thetas[k], rhs[k],
+    )
+    theta_min, rhs_min = float(x), float(fx)
 
     pair = FidelityPair(fid, fid)
-    nonorth_min = max(
-        (1.0 - float(target_overlap_sq(*_mode_inputs(rec, mode)[1], theta_min)))
-        * float(input_overlap_sq(*rec.input_state.linear_pair, theta_min)),
-        0.0,
-    )
-    verdict = qd_criterion(pair, nonorth_min)
+    verdict = qd_criterion(pair, float(_curves(input_pair, target_pair, theta_min)[2]))
 
-    notes = [_alternate_note(rec, theta_points, mode)]
+    notes = [_alternate_note(rec, thetas, mode)]
     if theta_min < 1e-6:
         notes.append(
             "benchmark floor sits at zero rotation, where the two probe "
@@ -270,10 +255,10 @@ def squeezed_storage_analysis(
     )
 
 
-def _alternate_note(rec: StorageRecord, theta_points: int, mode: str) -> str:
+def _alternate_note(rec: StorageRecord, thetas: np.ndarray, mode: str) -> str:
     other = PURE_TARGET if mode == AS_PUBLISHED else AS_PUBLISHED
-    thetas = np.linspace(0.0, 0.5 * math.pi, theta_points)
-    fid, _, _, _, rhs = _scan(rec, thetas, other)
+    fid, target_pair = _mode_inputs(rec, other)
+    rhs = _curves(rec.input_state.linear_pair, target_pair, thetas)[3]
     k = int(np.argmin(rhs))
     return (
         f"mode {other}: mean fidelity {fid:.6f}, benchmark floor "

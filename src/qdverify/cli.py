@@ -28,6 +28,7 @@ from .applications import (
     PURE_TARGET,
     CoherentTask,
     StorageRecord,
+    StorageReport,
     benchmark_table,
     coherent_task_overlaps,
     squeezed_storage_analysis,
@@ -99,12 +100,21 @@ def _resolve_nonorth(args: argparse.Namespace) -> tuple[float, float | None, flo
     return total_nonorthogonality(pair), args.gamma, args.gamma_prime
 
 
+def _tolerance(args: argparse.Namespace, default: float) -> float:
+    tol = args.tolerance
+    if tol is None:
+        return default
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"--tolerance must be a finite number >= 0, got {tol!r}")
+    return tol
+
+
 def _cmd_criterion(args: argparse.Namespace) -> tuple[dict, None, int]:
     nonorth, gamma, gamma_prime = _resolve_nonorth(args)
     pair = FidelityPair(args.a, args.b)
     verdict = qd_criterion(pair, nonorth)
     numeric = qd_criterion_numeric(pair, nonorth)
-    tol = AGREEMENT_TOL if args.tolerance is None else float(args.tolerance)
+    tol = _tolerance(args, AGREEMENT_TOL)
 
     if verdict.degenerate is not None:
         agrees = not numeric.is_quantum_domain
@@ -141,7 +151,7 @@ def _cmd_criterion(args: argparse.Namespace) -> tuple[dict, None, int]:
     return report, None, 0 if agrees else 3
 
 
-def _cmd_boundary(args: argparse.Namespace) -> tuple[dict, tuple, int]:
+def _cmd_boundary(args: argparse.Namespace) -> tuple[dict, dict, int]:
     nonorth, gamma, gamma_prime = _resolve_nonorth(args)
     curve = boundary_curve(nonorth, args.points)
     report = _report_head("boundary")
@@ -153,12 +163,8 @@ def _cmd_boundary(args: argparse.Namespace) -> tuple[dict, tuple, int]:
     }
     report["nonorthogonality"] = float(nonorth)
     report["symmetric_point"] = 0.5 * (1.0 + math.sqrt(1.0 - nonorth))
-    report["curve"] = {
-        "a": [float(x) for x in curve[:, 0]],
-        "b": [float(x) for x in curve[:, 1]],
-    }
-    rows = [(float(x), float(y)) for x, y in curve]
-    return report, (("a", "b"), rows), 0
+    report["curve"] = {"a": curve[:, 0].tolist(), "b": curve[:, 1].tolist()}
+    return report, report["curve"], 0
 
 
 def _cmd_coherent(args: argparse.Namespace) -> tuple[dict, None, int]:
@@ -205,8 +211,11 @@ def _load_record(args: argparse.Namespace) -> tuple[StorageRecord, str]:
             raise ValueError(
                 f"record file must hold a JSON object, got {type(data).__name__}"
             )
+        label = _record_field(data, "label")
+        if not isinstance(label, str):
+            raise ValueError(f"record field 'label' must be a string, got {label!r}")
         rec = StorageRecord(
-            str(_record_field(data, "label")),
+            label,
             SqueezingRecord(_record_db(data, "X_db"), _record_db(data, "Y_db")),
             SqueezingRecord(_record_db(data, "Xp_db"), _record_db(data, "Yp_db")),
         )
@@ -228,10 +237,17 @@ def _load_record(args: argparse.Namespace) -> tuple[StorageRecord, str]:
     return rec, args.mode or AS_PUBLISHED
 
 
-_CURVE_HEADER = ("theta", "gamma_sq", "gamma_prime_sq", "nonorthogonality", "benchmark")
+def _headline(rep: StorageReport) -> dict:
+    return {
+        "a": float(rep.a),
+        "b": float(rep.b),
+        "lhs": float(rep.lhs),
+        "theta_min": float(rep.theta_min),
+        "rhs_min": float(rep.rhs_min),
+    }
 
 
-def _cmd_squeezed(args: argparse.Namespace) -> tuple[dict, tuple, int]:
+def _cmd_squeezed(args: argparse.Namespace) -> tuple[dict, dict, int]:
     rec, mode = _load_record(args)
     rep = squeezed_storage_analysis(rec, args.theta_points, mode)
     report = _report_head("squeezed")
@@ -244,11 +260,7 @@ def _cmd_squeezed(args: argparse.Namespace) -> tuple[dict, tuple, int]:
         "mode": mode,
         "theta_points": int(args.theta_points),
     }
-    report["a"] = float(rep.a)
-    report["b"] = float(rep.b)
-    report["lhs"] = float(rep.lhs)
-    report["theta_min"] = float(rep.theta_min)
-    report["rhs_min"] = float(rep.rhs_min)
+    report.update(_headline(rep))
     report["verdict"] = _verdict_dict(rep.verdict)
     report["notes"] = list(rep.notes)
     report["curves"] = {
@@ -258,16 +270,7 @@ def _cmd_squeezed(args: argparse.Namespace) -> tuple[dict, tuple, int]:
         "nonorthogonality": rep.B.tolist(),
         "benchmark": rep.rhs.tolist(),
     }
-    rows = list(
-        zip(
-            rep.thetas.tolist(),
-            rep.gamma_sq.tolist(),
-            rep.gamma_prime_sq.tolist(),
-            rep.B.tolist(),
-            rep.rhs.tolist(),
-        )
-    )
-    return report, (_CURVE_HEADER, rows), 0
+    return report, report["curves"], 0
 
 
 def _cmd_table1(args: argparse.Namespace) -> tuple[dict, None, int]:
@@ -280,16 +283,22 @@ def _cmd_table1(args: argparse.Namespace) -> tuple[dict, None, int]:
     report["rows"] = [
         {
             "label": rep.label,
-            "a": float(rep.a),
-            "b": float(rep.b),
-            "lhs": float(rep.lhs),
-            "theta_min": float(rep.theta_min),
-            "rhs_min": float(rep.rhs_min),
+            **_headline(rep),
             "is_quantum_domain": bool(rep.verdict.is_quantum_domain),
         }
         for rep in reports
     ]
     return report, None, 0
+
+
+def _suite(name: str, cases: int, worst: float, tol: float) -> dict:
+    return {
+        "name": name,
+        "cases": cases,
+        "max_abs_diff": worst,
+        "tolerance": tol,
+        "passed": worst <= tol,
+    }
 
 
 def _scheme_suite(args: argparse.Namespace, tol: float) -> dict:
@@ -311,13 +320,7 @@ def _scheme_suite(args: argparse.Namespace, tol: float) -> dict:
                 )
                 worst = max(worst, abs(closed - found))
                 cases += 1
-    return {
-        "name": "closed_form_vs_scheme_search",
-        "cases": cases,
-        "max_abs_diff": worst,
-        "tolerance": tol,
-        "passed": worst <= tol,
-    }
+    return _suite("closed_form_vs_scheme_search", cases, worst, tol)
 
 
 def _fock_suite(args: argparse.Namespace, tol: float) -> dict:
@@ -340,13 +343,7 @@ def _fock_suite(args: argparse.Namespace, tol: float) -> dict:
         closed = uhlmann_fidelity_gaussian(gaussians[0], gaussians[1])
         direct = uhlmann_fock(states[0], states[1])
         worst = max(worst, abs(closed - direct))
-    return {
-        "name": "gaussian_vs_fock",
-        "cases": args.pairs,
-        "max_abs_diff": worst,
-        "tolerance": tol,
-        "passed": worst <= tol,
-    }
+    return _suite("gaussian_vs_fock", args.pairs, worst, tol)
 
 
 def _coherent_suite(tol: float) -> dict:
@@ -357,13 +354,7 @@ def _coherent_suite(tol: float) -> dict:
     )
     direct = uhlmann_fock(coherent_fock(1.0, 40), coherent_fock(-1.0, 40))
     worst = max(abs(closed - exact), abs(direct - exact))
-    return {
-        "name": "coherent_overlap",
-        "cases": 2,
-        "max_abs_diff": worst,
-        "tolerance": tol,
-        "passed": worst <= tol,
-    }
+    return _suite("coherent_overlap", 2, worst, tol)
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> tuple[dict, None, int]:
@@ -371,11 +362,12 @@ def _cmd_oracle_check(args: argparse.Namespace) -> tuple[dict, None, int]:
         raise ValueError(f"--grid-size must be at least 1, got {args.grid_size}")
     if args.pairs < 1:
         raise ValueError(f"--pairs must be at least 1, got {args.pairs}")
-    override = args.tolerance
+    if args.random_schemes < 0:
+        raise ValueError(f"--random-schemes must be at least 0, got {args.random_schemes}")
     suites = [
-        _scheme_suite(args, override if override is not None else SCHEME_SUITE_TOL),
-        _fock_suite(args, override if override is not None else FOCK_SUITE_TOL),
-        _coherent_suite(override if override is not None else COHERENT_SUITE_TOL),
+        _scheme_suite(args, _tolerance(args, SCHEME_SUITE_TOL)),
+        _fock_suite(args, _tolerance(args, FOCK_SUITE_TOL)),
+        _coherent_suite(_tolerance(args, COHERENT_SUITE_TOL)),
     ]
     passed = all(s["passed"] for s in suites)
     report = _report_head("oracle-check")
@@ -386,7 +378,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> tuple[dict, None, int]:
         "pairs": int(args.pairs),
         "dim": int(args.dim),
         "seed": int(args.seed),
-        "tolerance": override,
+        "tolerance": args.tolerance,
     }
     report["suites"] = suites
     report["passed"] = passed
@@ -486,11 +478,11 @@ _HANDLERS = {
 }
 
 
-def _write_csv(path: str, header: tuple, rows: list) -> None:
+def _write_csv(path: str, columns: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows(zip(*columns.values()))
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -514,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     _emit(report, args.out)
     if curve is not None and getattr(args, "curve_out", None):
-        _write_csv(args.curve_out, *curve)
+        _write_csv(args.curve_out, curve)
     return code
 
 

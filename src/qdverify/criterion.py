@@ -154,6 +154,13 @@ def _minimize_bounded(
     return xf, fx
 
 
+def _refine(func, lo: float, hi: float, x0: float, f0: float) -> tuple[float, float]:
+    """Refine the grid minimum ``(x0, f0)`` of ``func`` on [lo, hi] by Brent,
+    keeping the grid point unless the refined value is no higher."""
+    x, fx = _minimize_bounded(func, lo, hi)
+    return (x, fx) if fx <= f0 else (x0, f0)
+
+
 @dataclass(frozen=True)
 class OverlapPair:
     """Overlap moduli of the two inputs and of the two reference targets."""
@@ -312,6 +319,17 @@ _DEGENERATE_TANGENT = (
 )
 
 
+def _degeneracy(B: float, slope: float) -> str | None:
+    """The reason no prior can beat the bound at ``B`` and ``slope``, or None."""
+    if B == 0.0:
+        return _DEGENERATE_ZERO_B
+    if slope * slope >= B:
+        return _DEGENERATE_SLOPE
+    if slope > B:
+        return _DEGENERATE_TANGENT
+    return None
+
+
 def _ordered(f: FidelityPair) -> tuple[float, float, bool]:
     if f.a > f.b:
         return f.b, f.a, True
@@ -339,24 +357,16 @@ def qd_criterion(
     a, b, swapped = _ordered(f)
     lhs = 0.5 * (a + b)
     slope = b - a
-    if B == 0.0:
+    degenerate = _degeneracy(B, slope)
+    if slope * slope >= B:  # the formula turns complex; this includes B == 0
         return Verdict(
-            False, lhs, math.nan, CLOSED_FORM, swapped=swapped,
-            degenerate=_DEGENERATE_ZERO_B,
-        )
-    if slope * slope >= B:
-        return Verdict(
-            False, lhs, math.nan, CLOSED_FORM, swapped=swapped,
-            degenerate=_DEGENERATE_SLOPE,
+            False, lhs, math.nan, CLOSED_FORM, swapped=swapped, degenerate=degenerate
         )
     rhs = 0.5 * (1.0 + math.sqrt((1.0 - B) * (B - slope * slope) / B))
-    marginal = abs(lhs - rhs) <= boundary_tol
-    if slope > B:
-        return Verdict(
-            False, lhs, rhs, CLOSED_FORM, marginal=marginal, swapped=swapped,
-            degenerate=_DEGENERATE_TANGENT,
-        )
-    return Verdict(lhs > rhs, lhs, rhs, CLOSED_FORM, marginal=marginal, swapped=swapped)
+    return Verdict(
+        degenerate is None and lhs > rhs, lhs, rhs, CLOSED_FORM,
+        marginal=abs(lhs - rhs) <= boundary_tol, swapped=swapped, degenerate=degenerate,
+    )
 
 
 def qd_criterion_numeric(
@@ -377,30 +387,18 @@ def qd_criterion_numeric(
     a, b, swapped = _ordered(f)
     lhs = 0.5 * (a + b)
     slope = b - a
-
-    def gap(p: float) -> float:
-        return a + slope * p - _bound(B, p)
-
     ps = np.linspace(0.0, 1.0, grid)
     gaps = a + slope * ps - 0.5 * (1.0 + np.sqrt(B * (2.0 * ps - 1.0) ** 2 + 1.0 - B))
     k = int(np.argmax(gaps))
     lo = ps[max(k - 1, 0)]
     hi = ps[min(k + 1, grid - 1)]
-    _, neg_sup = _minimize_bounded(lambda p: -gap(p), lo, hi)
-    sup = max(float(-neg_sup), float(gaps[k]))
-
-    rhs = lhs - sup
-    degenerate = None
-    if B == 0.0:
-        degenerate = _DEGENERATE_ZERO_B
-    elif slope * slope >= B:
-        degenerate = _DEGENERATE_SLOPE
-    elif slope > B:
-        degenerate = _DEGENERATE_TANGENT
-    marginal = abs(sup) <= boundary_tol
+    neg_gap = lambda p: _bound(B, p) - (a + slope * p)  # noqa: E731
+    _, neg_sup = _refine(neg_gap, lo, hi, ps[k], -float(gaps[k]))
+    sup = -float(neg_sup)
     return Verdict(
-        sup > 0.0, lhs, rhs, NUMERIC_SUP,
-        marginal=marginal, swapped=swapped, degenerate=degenerate,
+        sup > 0.0, lhs, lhs - sup, NUMERIC_SUP,
+        marginal=abs(sup) <= boundary_tol, swapped=swapped,
+        degenerate=_degeneracy(B, slope),
     )
 
 

@@ -144,14 +144,6 @@ def squeezed_thermal(
     return FockDensity(0.5 * (m + m.conj().T))
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(m)
-    if float(vals.min()) < EIGENVALUE_FLOOR:
-        raise ValueError("matrix is not positive semidefinite within tolerance")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
 def uhlmann_fock(r1: FockDensity, r2: FockDensity) -> float:
     """Fidelity Tr sqrt(sqrt(p1) p2 sqrt(p1)) by direct linear algebra.
 
@@ -162,6 +154,7 @@ def uhlmann_fock(r1: FockDensity, r2: FockDensity) -> float:
     """
     if r1.dim != r2.dim:
         raise ValueError(f"dimension mismatch: {r1.dim} vs {r2.dim}")
+    spectra = []
     for first, second in ((r1, r2), (r2, r1)):
         vals, vecs = np.linalg.eigh(first.matrix)
         if float(vals.min()) < EIGENVALUE_FLOOR:
@@ -170,7 +163,9 @@ def uhlmann_fock(r1: FockDensity, r2: FockDensity) -> float:
             psi = vecs[:, -1]
             overlap = float((psi.conj() @ second.matrix @ psi).real)
             return math.sqrt(max(overlap, 0.0))
-    root = _psd_sqrt(r1.matrix)
+        spectra.append((vals, vecs))
+    vals, vecs = spectra[0]
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
     inner = root @ r2.matrix @ root
     vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     return float(np.sqrt(np.clip(vals, 0.0, None)).sum())

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import _check_unit, _minimize_bounded
+from .criterion import _check_unit, _refine
 
 __all__ = [
     "EnsembleParams",
@@ -297,15 +297,11 @@ def optimize_scheme(
     values = _projective_value(ep, gamma, gamma_prime, phis)
     k = int(np.argmax(values))
     step = math.pi / resolution
-    x, fx = _minimize_bounded(
+    x, fx = _refine(
         lambda phi: -_projective_value(ep, gamma, gamma_prime, phi),
-        phis[k] - step,
-        phis[k] + step,
+        phis[k] - step, phis[k] + step, phis[k], -values[k],
     )
-    if -fx >= values[k]:
-        best_phi, best_value = float(x), float(-fx)
-    else:
-        best_phi, best_value = float(phis[k]), float(values[k])
+    best_phi, best_value = float(x), float(-fx)
     best_scheme = CQScheme((1.0, 1.0), (best_phi, best_phi + math.pi))
 
     if n_random > 0:

@@ -63,6 +63,18 @@ def test_coherent_task_validation():
         CoherentTask(1.0, 1.2)
 
 
+@pytest.mark.parametrize("alpha", [1e155, 1e200, 1.7e308])
+def test_coherent_task_rejects_alpha_whose_square_overflows(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        CoherentTask(alpha, 0.5)
+
+
+def test_coherent_task_keeps_large_finite_alpha():
+    # alpha**2 = 1e308 is still finite: both overlaps underflow to zero
+    pair = coherent_task_overlaps(CoherentTask(1e154, 0.5))
+    assert (pair.gamma, pair.gamma_prime) == (0.0, 0.0)
+
+
 def test_coherent_verify():
     t = CoherentTask(1.0, 0.5)
     v = coherent_verify(t, FidelityPair(0.99, 0.99))

@@ -1,11 +1,15 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdverify
 from qdverify.cli import main
@@ -131,6 +135,16 @@ def test_coherent_command(capsys):
     assert report["verdict"]["is_quantum_domain"] is False
 
 
+@pytest.mark.parametrize("alpha", ["1e155", "1e200"])
+def test_coherent_rejects_alpha_whose_square_overflows(capsys, alpha):
+    code, cap = _run(
+        capsys, ["coherent", "--alpha", alpha, "--eta", "0.5", "--a", "0.9", "--b", "0.9"]
+    )
+    assert code == 2
+    assert cap.err.startswith("error:") and "alpha" in cap.err
+    assert cap.out == ""
+
+
 def test_squeezed_record_file(tmp_path, capsys):
     path = tmp_path / "rec.json"
     path.write_text(json.dumps(RECORD), encoding="utf-8")
@@ -183,6 +197,16 @@ def test_squeezed_record_fields_must_be_finite_numbers(tmp_path, capsys, key, va
     code, cap = _run(capsys, ["squeezed", "--record", str(path)])
     assert code == 2
     assert cap.err.startswith("error:") and repr(key) in cap.err
+
+
+@pytest.mark.parametrize("label", [None, 5, ["bench"], {"name": "bench"}])
+def test_squeezed_record_label_must_be_a_string(tmp_path, capsys, label):
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps({**RECORD, "label": label}), encoding="utf-8")
+    code, cap = _run(capsys, ["squeezed", "--record", str(path)])
+    assert code == 2
+    assert cap.err.startswith("error:") and "'label'" in cap.err
+    assert cap.out == ""
 
 
 def test_squeezed_direct_flags(capsys):
@@ -292,6 +316,33 @@ def test_oracle_check_rejects_empty_suites(capsys, flags):
     assert cap.out == ""
 
 
+CRITERION_ARGV = ["criterion", "--a", "0.93", "--b", "0.95", "--B", "0.25"]
+SMALL_ORACLE_ARGV = ["oracle-check", "--grid-size", "1", "--pairs", "1", "--dim", "40"]
+
+
+@pytest.mark.parametrize("base", [CRITERION_ARGV, SMALL_ORACLE_ARGV])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+def test_tolerance_must_be_finite_and_non_negative(capsys, base, tol):
+    code, cap = _run(capsys, [*base, f"--tolerance={tol}"])
+    assert code == 2
+    assert cap.err.startswith("error:") and "--tolerance" in cap.err
+    assert cap.out == ""
+
+
+@pytest.mark.parametrize("base", [CRITERION_ARGV, SMALL_ORACLE_ARGV])
+def test_zero_tolerance_is_accepted(capsys, base):
+    code, cap = _run(capsys, [*base, "--tolerance", "0"])
+    assert code in (0, 3)
+    assert json.loads(cap.out)["inputs"]["tolerance"] == 0.0
+
+
+def test_oracle_check_rejects_negative_random_schemes(capsys):
+    code, cap = _run(capsys, [*SMALL_ORACLE_ARGV, "--random-schemes", "-1"])
+    assert code == 2
+    assert cap.err.startswith("error:") and "--random-schemes" in cap.err
+    assert cap.out == ""
+
+
 def test_import_loads_no_scipy():
     # scipy costs about a second to import; the decision path must not need it
     src = str(Path(qdverify.__file__).resolve().parents[1])
@@ -312,3 +363,44 @@ def test_argparse_exits_map_to_codes(capsys):
     assert main([]) == 2
     assert main(["--version"]) == 0
     capsys.readouterr()
+
+
+edge_floats = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 1.0, 1e200, -1e200]),
+    st.floats(0.0, 1.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _flags(required, optional, values=edge_floats):
+    return st.fixed_dictionaries(
+        {f: values for f in required}, optional={f: values for f in optional}
+    )
+
+
+NONORTH = ("--B", "--gamma", "--gamma-prime")
+GENERATED_ARGV = st.one_of(
+    st.tuples(
+        st.just("criterion"),
+        _flags(("--a", "--b"), (*NONORTH, "--p-plus", "--tolerance")),
+    ),
+    st.tuples(
+        st.just("boundary"),
+        st.tuples(
+            _flags((), NONORTH),
+            # capped: 1e11 points would allocate terabytes before any check
+            _flags((), ("--points",), st.integers(-5, 10_000)),
+        ).map(lambda pair: {**pair[0], **pair[1]}),
+    ),
+    st.tuples(st.just("coherent"), _flags(("--alpha", "--eta", "--a", "--b"), ())),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(GENERATED_ARGV)
+def test_main_only_exits_0_2_or_3_on_generated_argv(case):
+    command, flags = case
+    argv = [command, *(f"{flag}={value!r}" for flag, value in flags.items())]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3)

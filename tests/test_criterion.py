@@ -2,8 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdverify.applications import AS_PUBLISHED, BENCHMARK_RECORDS, PURE_TARGET, _rhs_at
+from qdverify.applications import (
+    AS_PUBLISHED,
+    BENCHMARK_RECORDS,
+    PURE_TARGET,
+    _curves,
+    _mode_inputs,
+)
 from qdverify.criterion import (
     CLOSED_FORM,
     NUMERIC_SUP,
@@ -334,7 +342,9 @@ def test_minimize_bounded_matches_scipy_on_storage_scan():
     rng = np.random.default_rng(12)
     for rec in BENCHMARK_RECORDS:
         for mode in (AS_PUBLISHED, PURE_TARGET):
-            func = lambda t: _rhs_at(rec, t, mode)  # noqa: E731
+            input_pair = rec.input_state.linear_pair
+            target_pair = _mode_inputs(rec, mode)[1]
+            func = lambda t: _curves(input_pair, target_pair, t)[3]  # noqa: E731
             for _ in range(10):
                 lo, hi = sorted(rng.uniform(0.0, 0.5 * math.pi, 2))
                 assert _same_bits(
@@ -361,3 +371,28 @@ def test_minimize_bounded_matches_scipy_at_an_edge():
     x, fx = _minimize_bounded(func, lo, hi)
     assert 0.0 < hi - x < 1e-7  # within the sqrt(eps)-relative tolerance of hi
     assert _same_bits((x, fx), _scipy_bounded(func, lo, hi))
+
+
+unit = st.floats(0.0, 1.0)
+PROPERTY = settings(derandomize=True, max_examples=400, deadline=None, database=None)
+
+
+def _bits(v):
+    return (v.is_quantum_domain, v.lhs.hex(), float(v.rhs).hex(), v.marginal, v.degenerate)
+
+
+@PROPERTY
+@given(a=unit, b=unit, B=unit)
+def test_closed_form_and_numeric_sup_name_the_same_degeneracy(a, b, B):
+    f = FidelityPair(a, b)
+    assert qd_criterion(f, B).degenerate == qd_criterion_numeric(f, B).degenerate
+
+
+@PROPERTY
+@given(a=unit, b=unit, B=unit)
+def test_swapping_a_and_b_changes_only_the_swapped_flag(a, b, B):
+    for check in (qd_criterion, qd_criterion_numeric):
+        v, w = check(FidelityPair(a, b), B), check(FidelityPair(b, a), B)
+        assert _bits(v) == _bits(w)
+        assert (v.swapped != w.swapped) == (a != b)
+        assert not (v.swapped and w.swapped)
