@@ -59,6 +59,11 @@ AGREEMENT_TOL = 1e-6
 SCHEME_SUITE_TOL = 1e-6
 FOCK_SUITE_TOL = 1e-4
 COHERENT_SUITE_TOL = 1e-6
+#: Largest sample or grid count a size flag accepts; larger counts would
+#: only fail to allocate.
+MAX_SAMPLES = 10**6
+#: Fock truncations ``oracle-check --dim`` accepts.
+DIM_RANGE = (2, 1000)
 
 
 def _verdict_dict(v: Verdict) -> dict:
@@ -98,6 +103,13 @@ def _resolve_nonorth(args: argparse.Namespace) -> tuple[float, float | None, flo
         raise ValueError("need --B, or both --gamma and --gamma-prime")
     pair = OverlapPair(args.gamma, args.gamma_prime)
     return total_nonorthogonality(pair), args.gamma, args.gamma_prime
+
+
+def _check_count(flag: str, value: int, lo: int | None = None, hi: int | None = None) -> None:
+    if lo is not None and value < lo:
+        raise ValueError(f"{flag} must be at least {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ValueError(f"{flag} must be at most {hi}, got {value}")
 
 
 def _tolerance(args: argparse.Namespace, default: float) -> float:
@@ -153,6 +165,7 @@ def _cmd_criterion(args: argparse.Namespace) -> tuple[dict, None, int]:
 
 def _cmd_boundary(args: argparse.Namespace) -> tuple[dict, dict, int]:
     nonorth, gamma, gamma_prime = _resolve_nonorth(args)
+    _check_count("--points", args.points, hi=MAX_SAMPLES)
     curve = boundary_curve(nonorth, args.points)
     report = _report_head("boundary")
     report["inputs"] = {
@@ -249,6 +262,7 @@ def _headline(rep: StorageReport) -> dict:
 
 def _cmd_squeezed(args: argparse.Namespace) -> tuple[dict, dict, int]:
     rec, mode = _load_record(args)
+    _check_count("--theta-points", args.theta_points, hi=MAX_SAMPLES)
     rep = squeezed_storage_analysis(rec, args.theta_points, mode)
     report = _report_head("squeezed")
     report["inputs"] = {
@@ -274,6 +288,7 @@ def _cmd_squeezed(args: argparse.Namespace) -> tuple[dict, dict, int]:
 
 
 def _cmd_table1(args: argparse.Namespace) -> tuple[dict, None, int]:
+    _check_count("--theta-points", args.theta_points, hi=MAX_SAMPLES)
     reports = benchmark_table(args.theta_points, args.mode)
     report = _report_head("table1")
     report["inputs"] = {
@@ -358,12 +373,11 @@ def _coherent_suite(tol: float) -> dict:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> tuple[dict, None, int]:
-    if args.grid_size < 1:
-        raise ValueError(f"--grid-size must be at least 1, got {args.grid_size}")
-    if args.pairs < 1:
-        raise ValueError(f"--pairs must be at least 1, got {args.pairs}")
-    if args.random_schemes < 0:
-        raise ValueError(f"--random-schemes must be at least 0, got {args.random_schemes}")
+    _check_count("--grid-size", args.grid_size, 1, MAX_SAMPLES)
+    _check_count("--pairs", args.pairs, 1)
+    _check_count("--random-schemes", args.random_schemes, 0)
+    _check_count("--resolution", args.resolution, hi=MAX_SAMPLES)
+    _check_count("--dim", args.dim, *DIM_RANGE)
     suites = [
         _scheme_suite(args, _tolerance(args, SCHEME_SUITE_TOL)),
         _fock_suite(args, _tolerance(args, FOCK_SUITE_TOL)),

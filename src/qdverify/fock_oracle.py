@@ -3,8 +3,9 @@
 States are dense matrices on the first ``dim`` Fock levels, built from
 the standard ladder operators: squeeze and displacement unitaries come
 from matrix exponentials of their generators, thermal states from the
-geometric photon distribution.  Fidelities are computed by Hermitian
-eigendecomposition square roots.  Nothing here assumes any Gaussian
+geometric photon distribution.  Each state is decomposed once, when
+it is validated, and fidelities build their Hermitian square roots from
+that stored spectrum.  Nothing here assumes any Gaussian
 identity, which is the point: agreement with :mod:`qdverify.gaussian`
 validates those identities independently.
 
@@ -19,7 +20,7 @@ with up to one thermal photon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,12 +46,19 @@ PURITY_TOL = 1e-11
 
 @dataclass(frozen=True, eq=False)
 class FockDensity:
-    """A truncated density matrix with its invariants checked on entry."""
+    """A truncated density matrix with its invariants checked on entry.
+
+    ``matrix`` is a private read-only copy, so ``spectrum``, the read-only
+    ``(eigenvalues, eigenvectors)`` pair of the validating ``eigh``, stays
+    valid for the life of the state.  A pure state keeps only its top
+    eigenvector column.
+    """
 
     matrix: np.ndarray
+    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
@@ -60,9 +68,15 @@ class FockDensity:
             raise ValueError(
                 f"trace {tr!r} outside [1 - {TRACE_TOL}, 1]: truncation insufficient"
             )
-        if float(np.linalg.eigvalsh(m).min()) < EIGENVALUE_FLOOR:
+        vals, vecs = np.linalg.eigh(m)
+        if float(vals[0]) < EIGENVALUE_FLOOR:
             raise ValueError("density matrix has a significantly negative eigenvalue")
+        if float(vals[-1]) >= 1.0 - PURITY_TOL:
+            vecs = vecs[:, -1:].copy()
+        for arr in (m, vals, vecs):
+            arr.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "spectrum", (vals, vecs))
 
     @property
     def dim(self) -> int:
@@ -84,26 +98,37 @@ def coherent_fock(alpha: complex, dim: int = DEFAULT_DIM) -> FockDensity:
     return FockDensity(np.outer(amps, amps.conj()))
 
 
-def thermal_fock(nbar: float, dim: int = DEFAULT_DIM) -> FockDensity:
-    """Thermal state with mean photon number ``nbar`` (geometric weights)."""
+def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
     if nbar < 0.0:
         raise ValueError("nbar must be non-negative")
     if nbar == 0.0:
         p = np.zeros(dim)
         p[0] = 1.0
-    else:
-        ratio = nbar / (1.0 + nbar)
-        p = ratio ** np.arange(dim) / (1.0 + nbar)
-    return FockDensity(np.diag(p.astype(complex)))
+        return p
+    ratio = nbar / (1.0 + nbar)
+    return ratio ** np.arange(dim) / (1.0 + nbar)
+
+
+def thermal_fock(nbar: float, dim: int = DEFAULT_DIM) -> FockDensity:
+    """Thermal state with mean photon number ``nbar`` (geometric weights)."""
+    return FockDensity(np.diag(_thermal_weights(nbar, dim)))
 
 
 def squeeze_matrix(r: float, dim: int) -> np.ndarray:
-    """Squeeze unitary scaling the x1 variance of the vacuum by e**(2r)."""
+    """Squeeze unitary scaling the x1 variance of the vacuum by e**(2r).
+
+    The generator moves the photon number in steps of two, so it is block
+    diagonal in the even and odd levels, and each block is exponentiated
+    on its own (two half-size exponentials cost about a third of one).
+    """
     from scipy.linalg import expm
 
     a = destroy(dim)
     gen = 0.5 * r * (a.T @ a.T - a @ a)
-    return expm(gen)
+    s = np.zeros((dim, dim))
+    for parity in (slice(0, None, 2), slice(1, None, 2)):
+        s[parity, parity] = expm(gen[parity, parity])
+    return s
 
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
@@ -113,11 +138,6 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     a = destroy(dim).astype(complex)
     gen = alpha * a.conj().T - np.conj(alpha) * a
     return expm(gen)
-
-
-def _phase_rotation(theta: float, dim: int) -> np.ndarray:
-    # Diagonal rotation whose covariance action matches rotate_cov.
-    return np.diag(np.exp(-1j * theta * np.arange(dim)))
 
 
 def squeezed_thermal(
@@ -133,14 +153,14 @@ def squeezed_thermal(
     levels because squeezing a diagonal base populates levels in steps of
     two, leaving one parity empty).
     """
-    base = thermal_fock(nbar, dim).matrix
     s = squeeze_matrix(r, dim)
-    m = s @ base @ s.T.conj()
-    if float(m.diagonal().real[-2:].sum()) > TRACE_TOL:
+    m = (s * _thermal_weights(nbar, dim)) @ s.T
+    if float(m.diagonal()[-2:].sum()) > TRACE_TOL:
         raise ValueError(f"squeezing r={r!r} needs more than {dim} Fock levels")
     if theta != 0.0:
-        u = _phase_rotation(theta, dim)
-        m = u @ m @ u.conj().T
+        # the diagonal rotation exp(-i theta n) whose covariance action matches rotate_cov
+        phase = np.exp(-1j * theta * np.arange(dim))
+        m = phase[:, None] * m * phase.conj()
     return FockDensity(0.5 * (m + m.conj().T))
 
 
@@ -154,17 +174,13 @@ def uhlmann_fock(r1: FockDensity, r2: FockDensity) -> float:
     """
     if r1.dim != r2.dim:
         raise ValueError(f"dimension mismatch: {r1.dim} vs {r2.dim}")
-    spectra = []
     for first, second in ((r1, r2), (r2, r1)):
-        vals, vecs = np.linalg.eigh(first.matrix)
-        if float(vals.min()) < EIGENVALUE_FLOOR:
-            raise ValueError("matrix is not positive semidefinite within tolerance")
+        vals, vecs = first.spectrum
         if float(vals[-1]) >= 1.0 - PURITY_TOL:
             psi = vecs[:, -1]
             overlap = float((psi.conj() @ second.matrix @ psi).real)
             return math.sqrt(max(overlap, 0.0))
-        spectra.append((vals, vecs))
-    vals, vecs = spectra[0]
+    vals, vecs = r1.spectrum
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
     inner = root @ r2.matrix @ root
     vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
@@ -176,9 +192,6 @@ def quadrature_moments_fock(r: FockDensity) -> tuple[float, float, float, float]
     a = destroy(r.dim).astype(complex)
     x1 = 0.5 * (a + a.conj().T)
     x2 = (a - a.conj().T) / 2j
+    # Tr(m x) = sum(conj(x) * m) for Hermitian x, with no matrix product
     m = r.matrix
-    m1 = float(np.trace(m @ x1).real)
-    m2 = float(np.trace(m @ x2).real)
-    v11 = float(np.trace(m @ x1 @ x1).real)
-    v22 = float(np.trace(m @ x2 @ x2).real)
-    return m1, m2, v11, v22
+    return tuple(float(np.vdot(x, m).real) for x in (x1, x2, x1 @ x1, x2 @ x2))

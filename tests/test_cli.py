@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdverify
-from qdverify.cli import main
+from qdverify.cli import DIM_RANGE, MAX_SAMPLES, main
 
 RECORD = {
     "label": "bench",
@@ -343,6 +343,38 @@ def test_oracle_check_rejects_negative_random_schemes(capsys):
     assert cap.out == ""
 
 
+SQUEEZED_FLAG_ARGV = [
+    "squeezed", "--squeezing-in-db", "-2", "--antisqueezing-in-db", "6",
+    "--squeezing-out-db", "-0.07", "--antisqueezing-out-db", "0.49",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["boundary", "--B", "0.5", "--points"], "--points"),
+        (["table1", "--theta-points"], "--theta-points"),
+        ([*SQUEEZED_FLAG_ARGV, "--theta-points"], "--theta-points"),
+        ([*SMALL_ORACLE_ARGV, "--resolution"], "--resolution"),
+        ([*SMALL_ORACLE_ARGV, "--grid-size"], "--grid-size"),
+    ],
+)
+@pytest.mark.parametrize("value", [MAX_SAMPLES + 1, 100_000_000_000])
+def test_sample_counts_are_capped_before_allocating(capsys, argv, flag, value):
+    code, cap = _run(capsys, [*argv, str(value)])
+    assert code == 2
+    assert cap.err.startswith("error:") and flag in cap.err
+    assert cap.out == ""
+
+
+@pytest.mark.parametrize("dim", [-1, 0, DIM_RANGE[0] - 1, DIM_RANGE[1] + 1, 100_000])
+def test_oracle_check_rejects_dim_outside_its_range(capsys, dim):
+    code, cap = _run(capsys, [*SMALL_ORACLE_ARGV, "--dim", str(dim)])
+    assert code == 2
+    assert cap.err.startswith("error:") and "--dim" in cap.err
+    assert cap.out == ""
+
+
 def test_import_loads_no_scipy():
     # scipy costs about a second to import; the decision path must not need it
     src = str(Path(qdverify.__file__).resolve().parents[1])
@@ -388,8 +420,12 @@ GENERATED_ARGV = st.one_of(
         st.just("boundary"),
         st.tuples(
             _flags((), NONORTH),
-            # capped: 1e11 points would allocate terabytes before any check
-            _flags((), ("--points",), st.integers(-5, 10_000)),
+            # past the cap as well; valid counts stay small to keep examples fast
+            _flags(
+                (),
+                ("--points",),
+                st.one_of(st.integers(-5, 10_000), st.integers(MAX_SAMPLES + 1, 10**12)),
+            ),
         ).map(lambda pair: {**pair[0], **pair[1]}),
     ),
     st.tuples(st.just("coherent"), _flags(("--alpha", "--eta", "--a", "--b"), ())),

@@ -28,6 +28,7 @@ from qdverify.criterion import (
     tangency_prior,
     total_nonorthogonality,
 )
+from qdverify.cli import AGREEMENT_TOL
 from qdverify.mp_oracle import _projective_value, ensemble_params
 
 # Values computed independently from the defining formulas (exact binomial
@@ -396,3 +397,35 @@ def test_swapping_a_and_b_changes_only_the_swapped_flag(a, b, B):
         assert _bits(v) == _bits(w)
         assert (v.swapped != w.swapped) == (a != b)
         assert not (v.swapped and w.swapped)
+
+
+@PROPERTY
+@given(a=st.floats(0.5, 1.0), b=st.floats(0.5, 1.0), B=unit, da=unit, db=unit)
+def test_pass_region_is_an_upper_set(a, b, B, da, db):
+    # the chord, and with it the sup of the gap, rises with either fidelity
+    v = qd_criterion(FidelityPair(a, b), B)
+    higher = FidelityPair(a + (1.0 - a) * da, b + (1.0 - b) * db)
+    if v.is_quantum_domain and not v.marginal:
+        assert qd_criterion(higher, B).is_quantum_domain
+
+
+@PROPERTY
+@given(a=unit, b=unit, B=unit)
+def test_closed_form_and_numeric_sup_agree_away_from_the_boundary(a, b, B):
+    f = FidelityPair(a, b)
+    v, w = qd_criterion(f, B), qd_criterion_numeric(f, B)
+    if v.degenerate is None:
+        assert abs(v.rhs - w.rhs) <= AGREEMENT_TOL
+    margin = w.lhs - w.rhs if v.degenerate else v.lhs - v.rhs
+    if abs(margin) > AGREEMENT_TOL:
+        assert v.is_quantum_domain == w.is_quantum_domain
+
+
+@PROPERTY
+@given(B=st.floats(1e-3, 1.0, exclude_max=True), n_points=st.integers(2, 400))
+def test_boundary_curve_rows_sit_on_the_benchmark(B, n_points):
+    for a, b in boundary_curve(B, n_points):
+        if (b - a) ** 2 > 0.99 * B:  # the benchmark's slope diverges at the ends
+            continue
+        v = qd_criterion(FidelityPair(float(a), float(b)), B)
+        assert abs(0.5 * (a + b) - v.rhs) <= 1e-12

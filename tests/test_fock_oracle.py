@@ -130,3 +130,69 @@ def test_density_validation():
         FockDensity(np.diag([1.5, -0.5]))  # negative weight
     with pytest.raises(ValueError):
         FockDensity(np.ones((2, 3)))
+
+
+def _count_eigensolves(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_uhlmann_reuses_each_states_decomposition(monkeypatch):
+    mixed = squeezed_thermal(0.3, 0.2, 0.4, 60)
+    other = squeezed_thermal(-0.2, 0.5, 1.1, 60)
+    pure = squeezed_thermal(0.4, 0.0, 0.0, 60)
+    calls = _count_eigensolves(monkeypatch)
+    for pair in ((mixed, pure), (pure, mixed), (pure, pure)):
+        uhlmann_fock(*pair)
+    assert len(calls) == 0  # a pure operand needs only its stored top vector
+    uhlmann_fock(mixed, other)
+    assert len(calls) == 1  # the eigvalsh of the inner product
+
+
+def test_pure_state_keeps_only_its_top_vector():
+    vals, vecs = squeezed_thermal(0.4, 0.0, 0.0, 60).spectrum
+    assert vals.shape == (60,) and vecs.shape == (60, 1)
+    vals, vecs = squeezed_thermal(0.4, 0.3, 0.0, 60).spectrum
+    assert vecs.shape == (60, 60)
+
+
+@pytest.mark.parametrize("r", [-0.7, 0.05, 0.4, 0.7])
+def test_parity_split_squeeze_matches_full_exponential(r):
+    from scipy.linalg import expm
+
+    dim = 120
+    s = squeeze_matrix(r, dim)
+    a = destroy(dim)
+    assert np.max(np.abs(s - expm(0.5 * r * (a.T @ a.T - a @ a)))) < 1e-13
+    assert np.max(np.abs(s @ s.T - np.eye(dim))) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "state",
+    [squeezed_thermal(0.3, 0.2, 0.6), coherent_fock(0.5 + 0.3j, 80), thermal_fock(0.5, 60)],
+)
+def test_moments_match_dense_traces(state):
+    a = destroy(state.dim).astype(complex)
+    x1 = 0.5 * (a + a.conj().T)
+    x2 = (a - a.conj().T) / 2j
+    m = state.matrix
+    dense = [np.trace(m @ x).real for x in (x1, x2)]
+    dense += [np.trace(m @ x @ x).real for x in (x1, x2)]
+    assert np.max(np.abs(np.subtract(quadrature_moments_fock(state), dense))) < 1e-13
+
+
+def test_density_matrix_is_a_private_read_only_copy():
+    source = np.diag([0.75, 0.25]).astype(complex)
+    state = FockDensity(source)
+    source[0, 0] = 0.0
+    assert state.matrix[0, 0] == 0.75
+    with pytest.raises(ValueError):
+        state.matrix[0, 0] = 0.5
