@@ -69,6 +69,9 @@ def _check_unit(name: str, value: float) -> float:
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 _MAXFUN = 500
+_XATOL = 1e-12
+#: Points of the coarse prior grid that seeds the numeric sup.
+_NUMERIC_GRID = 256
 
 
 def _sign(x: float) -> float:
@@ -76,17 +79,15 @@ def _sign(x: float) -> float:
     return -1.0 if x < 0.0 else 1.0
 
 
-def _minimize_bounded(
-    func, lo: float, hi: float, xatol: float = 1e-12
-) -> tuple[float, float]:
+def _minimize_bounded(func, lo: float, hi: float) -> tuple[float, float]:
     """Minimise ``func`` on [lo, hi] by Brent's bounded method (fminbound).
 
     Golden-section steps with parabolic interpolation, stopping once the
-    bracket is within ``xatol / 3`` plus a relative ``sqrt(eps)`` term of
+    bracket is within ``_XATOL / 3`` plus a relative ``sqrt(eps)`` term of
     the current best point, or after 500 evaluations.  Step for step the
-    same iteration as ``scipy.optimize.minimize_scalar(method="bounded")``,
-    so it returns the same ``(x, f(x))`` to the last bit without importing
-    scipy.
+    same iteration as scipy's ``minimize_scalar(method="bounded")`` with
+    ``xatol=1e-12``, so it returns the same ``(x, f(x))`` to the last bit
+    without importing scipy.
     """
     a, b = lo, hi
     fulc = a + _GOLDEN * (b - a)
@@ -96,7 +97,7 @@ def _minimize_bounded(
     num = 1
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
     tol2 = 2.0 * tol1
 
     while abs(xf - xm) > tol2 - 0.5 * (b - a):
@@ -147,7 +148,7 @@ def _minimize_bounded(
                 fulc, ffulc = x, fu
 
         xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol1 = _SQRT_EPS * abs(xf) + _XATOL / 3.0
         tol2 = 2.0 * tol1
         if num >= _MAXFUN:
             break
@@ -336,9 +337,7 @@ def _ordered(f: FidelityPair) -> tuple[float, float, bool]:
     return f.a, f.b, False
 
 
-def qd_criterion(
-    f: FidelityPair, B: float, *, boundary_tol: float = BOUNDARY_TOL
-) -> Verdict:
+def qd_criterion(f: FidelityPair, B: float) -> Verdict:
     """Closed-form quantum-domain test for a fidelity pair at parameter B.
 
     The verdict is true when (a + b) / 2 exceeds
@@ -365,17 +364,11 @@ def qd_criterion(
     rhs = 0.5 * (1.0 + math.sqrt((1.0 - B) * (B - slope * slope) / B))
     return Verdict(
         degenerate is None and lhs > rhs, lhs, rhs, CLOSED_FORM,
-        marginal=abs(lhs - rhs) <= boundary_tol, swapped=swapped, degenerate=degenerate,
+        marginal=abs(lhs - rhs) <= BOUNDARY_TOL, swapped=swapped, degenerate=degenerate,
     )
 
 
-def qd_criterion_numeric(
-    f: FidelityPair,
-    B: float,
-    *,
-    boundary_tol: float = BOUNDARY_TOL,
-    grid: int = 256,
-) -> Verdict:
+def qd_criterion_numeric(f: FidelityPair, B: float) -> Verdict:
     """Same test evaluated by direct maximisation over the prior.
 
     Maximises ``chord(p) - F_c(p)`` over p_plus in [0, 1] with a coarse
@@ -387,17 +380,17 @@ def qd_criterion_numeric(
     a, b, swapped = _ordered(f)
     lhs = 0.5 * (a + b)
     slope = b - a
-    ps = np.linspace(0.0, 1.0, grid)
+    ps = np.linspace(0.0, 1.0, _NUMERIC_GRID)
     gaps = a + slope * ps - 0.5 * (1.0 + np.sqrt(B * (2.0 * ps - 1.0) ** 2 + 1.0 - B))
     k = int(np.argmax(gaps))
     lo = ps[max(k - 1, 0)]
-    hi = ps[min(k + 1, grid - 1)]
+    hi = ps[min(k + 1, _NUMERIC_GRID - 1)]
     neg_gap = lambda p: _bound(B, p) - (a + slope * p)  # noqa: E731
     _, neg_sup = _refine(neg_gap, lo, hi, ps[k], -float(gaps[k]))
     sup = -float(neg_sup)
     return Verdict(
         sup > 0.0, lhs, lhs - sup, NUMERIC_SUP,
-        marginal=abs(sup) <= boundary_tol, swapped=swapped,
+        marginal=abs(sup) <= BOUNDARY_TOL, swapped=swapped,
         degenerate=_degeneracy(B, slope),
     )
 

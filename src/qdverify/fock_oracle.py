@@ -3,11 +3,11 @@
 States are dense matrices on the first ``dim`` Fock levels, built from
 the standard ladder operators: squeeze and displacement unitaries come
 from matrix exponentials of their generators, thermal states from the
-geometric photon distribution.  Each state is decomposed once, when
-it is validated, and fidelities build their Hermitian square roots from
-that stored spectrum.  Nothing here assumes any Gaussian
-identity, which is the point: agreement with :mod:`qdverify.gaussian`
-validates those identities independently.
+geometric photon distribution.  Each state is decomposed once, when it
+is validated, and every fidelity is a trace norm read from the two stored
+spectra.  Nothing here assumes any Gaussian identity, which is the
+point: agreement with :mod:`qdverify.gaussian` validates those
+identities independently.
 
 Truncation is treated as a hard precondition, not a degradation: state
 constructors raise when the retained trace falls below 1 - 1e-6, or,
@@ -59,8 +59,8 @@ class FockDensity:
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise ValueError(f"density matrix must be square and non-empty: {m.shape}")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise ValueError("density matrix must be Hermitian")
         tr = float(np.trace(m).real)
@@ -88,8 +88,17 @@ def destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
 
+def _check_args(dim: int, **params: complex) -> None:
+    if dim < 2:
+        raise ValueError(f"dim must be at least 2, got {dim!r}")
+    for name, value in params.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def coherent_fock(alpha: complex, dim: int = DEFAULT_DIM) -> FockDensity:
     """Coherent state built from its analytic number-basis amplitudes."""
+    _check_args(dim, alpha=alpha)
     amps = np.zeros(dim, dtype=complex)
     amps[0] = 1.0
     for n in range(1, dim):
@@ -101,16 +110,13 @@ def coherent_fock(alpha: complex, dim: int = DEFAULT_DIM) -> FockDensity:
 def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
     if nbar < 0.0:
         raise ValueError("nbar must be non-negative")
-    if nbar == 0.0:
-        p = np.zeros(dim)
-        p[0] = 1.0
-        return p
     ratio = nbar / (1.0 + nbar)
     return ratio ** np.arange(dim) / (1.0 + nbar)
 
 
 def thermal_fock(nbar: float, dim: int = DEFAULT_DIM) -> FockDensity:
     """Thermal state with mean photon number ``nbar`` (geometric weights)."""
+    _check_args(dim, nbar=nbar)
     return FockDensity(np.diag(_thermal_weights(nbar, dim)))
 
 
@@ -153,45 +159,47 @@ def squeezed_thermal(
     levels because squeezing a diagonal base populates levels in steps of
     two, leaving one parity empty).
     """
+    _check_args(dim, r=r, nbar=nbar, theta=theta)
     s = squeeze_matrix(r, dim)
     m = (s * _thermal_weights(nbar, dim)) @ s.T
     if float(m.diagonal()[-2:].sum()) > TRACE_TOL:
         raise ValueError(f"squeezing r={r!r} needs more than {dim} Fock levels")
-    if theta != 0.0:
-        # the diagonal rotation exp(-i theta n) whose covariance action matches rotate_cov
-        phase = np.exp(-1j * theta * np.arange(dim))
-        m = phase[:, None] * m * phase.conj()
+    # the diagonal rotation exp(-i theta n) whose covariance action matches rotate_cov
+    phase = np.exp(-1j * theta * np.arange(dim))
+    m = phase[:, None] * m * phase.conj()
     return FockDensity(0.5 * (m + m.conj().T))
 
 
 def uhlmann_fock(r1: FockDensity, r2: FockDensity) -> float:
-    """Fidelity Tr sqrt(sqrt(p1) p2 sqrt(p1)) by direct linear algebra.
+    """Fidelity Tr sqrt(sqrt(p1) p2 sqrt(p1)) as the trace norm |sqrt(p1) sqrt(p2)|_1.
 
-    A numerically rank-one operand is routed through the projection
-    formula sqrt(<psi| rho |psi>) instead: near a pure state the general
-    square-root path turns eigensolver dust of order 1e-16 into 1e-8
-    error, which is exactly where tight equality checks live.
+    From the stored spectra p = V diag(w) V^H this is the sum of the
+    singular values of diag(sqrt(w1)) V1^H V2 diag(sqrt(w2)), where a pure
+    state gives its one stored vector and top eigenvalue.  Singular values
+    carry absolute error near 1e-16: no rounding noise is square-rooted.
     """
     if r1.dim != r2.dim:
         raise ValueError(f"dimension mismatch: {r1.dim} vs {r2.dim}")
-    for first, second in ((r1, r2), (r2, r1)):
-        vals, vecs = first.spectrum
-        if float(vals[-1]) >= 1.0 - PURITY_TOL:
-            psi = vecs[:, -1]
-            overlap = float((psi.conj() @ second.matrix @ psi).real)
-            return math.sqrt(max(overlap, 0.0))
-    vals, vecs = r1.spectrum
-    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    inner = root @ r2.matrix @ root
-    vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    return float(np.sqrt(np.clip(vals, 0.0, None)).sum())
+    (s1, v1), (s2, v2) = (
+        (np.sqrt(np.clip(vals[-vecs.shape[1]:], 0.0, None)), vecs)
+        for vals, vecs in (r1.spectrum, r2.spectrum)
+    )
+    x = s1[:, None] * (v1.conj().T @ v2) * s2
+    return float(np.linalg.svd(x, compute_uv=False).sum())
 
 
 def quadrature_moments_fock(r: FockDensity) -> tuple[float, float, float, float]:
-    """First and raw second quadrature moments (m1, m2, <x1^2>, <x2^2>)."""
-    a = destroy(r.dim).astype(complex)
-    x1 = 0.5 * (a + a.conj().T)
-    x2 = (a - a.conj().T) / 2j
-    # Tr(m x) = sum(conj(x) * m) for Hermitian x, with no matrix product
+    """First and raw second quadrature moments (m1, m2, <x1^2>, <x2^2>).
+
+    <a> and <a^2> are read from the first two subdiagonals, and
+    <a^dag a + a a^dag> from the diagonal, with the truncated ``destroy``.
+    """
     m = r.matrix
-    return tuple(float(np.vdot(x, m).real) for x in (x1, x2, x1 @ x1, x2 @ x2))
+    n = np.arange(1.0, r.dim)
+    a1 = np.diagonal(m, -1) @ np.sqrt(n)
+    a2 = np.diagonal(m, -2) @ np.sqrt(n[:-1] * n[1:])
+    sym = m.diagonal().real @ np.append(2.0 * n - 1.0, r.dim - 1.0)
+    return (
+        float(a1.real), float(a1.imag),
+        float(0.25 * sym + 0.5 * a2.real), float(0.25 * sym - 0.5 * a2.real),
+    )

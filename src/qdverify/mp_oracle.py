@@ -43,6 +43,8 @@ __all__ = [
 
 #: POVM completeness residuals larger than this are rejected.
 COMPLETENESS_TOL = 1e-8
+#: Largest number of POVM elements in a randomly drawn scheme.
+_MAX_ELEMENTS = 6
 
 
 @dataclass(frozen=True)
@@ -185,14 +187,12 @@ def scheme_fidelity(
     gamma: float,
     gamma_prime: float,
     p_plus: float,
-    *,
-    tol: float = COMPLETENESS_TOL,
 ) -> float:
     """Average fidelity of a scheme with optimal per-outcome preparations."""
     _check_unit("gamma_prime", gamma_prime)
     ep = ensemble_params(gamma, p_plus)
     residuals = scheme.completeness_residuals(ep)
-    if any(abs(r) > tol for r in residuals):
+    if any(abs(r) > COMPLETENESS_TOL for r in residuals):
         raise ValueError(
             f"scheme violates POVM completeness: residuals {residuals!r}"
         )
@@ -215,7 +215,6 @@ def random_scheme_search(
     p_plus: float,
     *,
     n_schemes: int = 64,
-    max_elements: int = 6,
     seed: int = 7,
 ) -> tuple[CQScheme | None, float]:
     """Best fidelity over randomly drawn multi-element schemes.
@@ -231,7 +230,7 @@ def random_scheme_search(
     best_value = -math.inf
     best_scheme = None
     for _ in range(n_schemes):
-        k = int(rng.integers(2, max_elements + 1))
+        k = int(rng.integers(2, _MAX_ELEMENTS + 1))
         angles = rng.uniform(0.0, 2.0 * math.pi, k)
         weights = rng.uniform(0.2, 1.0, k)
         shifted = angles + ep.axis_angle
@@ -276,7 +275,6 @@ def optimize_scheme(
     resolution: int = 4096,
     *,
     n_random: int = 64,
-    max_elements: int = 6,
     seed: int = 7,
 ) -> tuple[CQScheme, float]:
     """Search measure-and-prepare schemes for the best average fidelity.
@@ -307,7 +305,7 @@ def optimize_scheme(
     if n_random > 0:
         rand_scheme, rand_value = random_scheme_search(
             gamma, gamma_prime, p_plus,
-            n_schemes=n_random, max_elements=max_elements, seed=seed,
+            n_schemes=n_random, seed=seed,
         )
         if rand_scheme is not None and rand_value > best_value:
             best_scheme, best_value = rand_scheme, rand_value

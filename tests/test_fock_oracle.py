@@ -14,6 +14,7 @@ from qdverify.fock_oracle import (
     thermal_fock,
     uhlmann_fock,
 )
+from qdverify.gaussian import CovMat2, GaussianState, rotate_cov, uhlmann_fidelity_gaussian
 
 
 def test_destroy_matrix_elements():
@@ -132,13 +133,13 @@ def test_density_validation():
         FockDensity(np.ones((2, 3)))
 
 
-def _count_eigensolves(monkeypatch):
+def _count_calls(monkeypatch, *names):
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in names:
         original = getattr(np.linalg, name)
 
-        def counted(*args, _original=original, **kwargs):
-            calls.append(1)
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -149,12 +150,12 @@ def test_uhlmann_reuses_each_states_decomposition(monkeypatch):
     mixed = squeezed_thermal(0.3, 0.2, 0.4, 60)
     other = squeezed_thermal(-0.2, 0.5, 1.1, 60)
     pure = squeezed_thermal(0.4, 0.0, 0.0, 60)
-    calls = _count_eigensolves(monkeypatch)
-    for pair in ((mixed, pure), (pure, mixed), (pure, pure)):
+    calls = _count_calls(monkeypatch, "eigh", "eigvalsh", "svd")
+    for pair in ((mixed, pure), (pure, mixed), (pure, pure), (mixed, other)):
         uhlmann_fock(*pair)
-    assert len(calls) == 0  # a pure operand needs only its stored top vector
-    uhlmann_fock(mixed, other)
-    assert len(calls) == 1  # the eigvalsh of the inner product
+        # no eigensolve: one singular value decomposition of the stored spectra
+        assert calls == ["svd"]
+        calls.clear()
 
 
 def test_pure_state_keeps_only_its_top_vector():
@@ -175,9 +176,21 @@ def test_parity_split_squeeze_matches_full_exponential(r):
     assert np.max(np.abs(s @ s.T - np.eye(dim))) < 1e-13
 
 
+def _full_rank_density(dim, seed):
+    # weight on every level, the top one included, where the truncated a a^dag is zero
+    re, im = np.random.default_rng(seed).normal(size=(2, dim, dim))
+    m = (re + 1j * im) @ (re - 1j * im).T
+    return FockDensity(m / np.trace(m).real)
+
+
 @pytest.mark.parametrize(
     "state",
-    [squeezed_thermal(0.3, 0.2, 0.6), coherent_fock(0.5 + 0.3j, 80), thermal_fock(0.5, 60)],
+    [
+        squeezed_thermal(0.3, 0.2, 0.6),
+        coherent_fock(0.5 + 0.3j, 80),
+        thermal_fock(0.5, 60),
+        _full_rank_density(5, 0),
+    ],
 )
 def test_moments_match_dense_traces(state):
     a = destroy(state.dim).astype(complex)
@@ -196,3 +209,60 @@ def test_density_matrix_is_a_private_read_only_copy():
     assert state.matrix[0, 0] == 0.75
     with pytest.raises(ValueError):
         state.matrix[0, 0] = 0.5
+
+
+R_MAX = 6.0 * math.log(10.0) / 20.0  # 6 dB, the range oracle-check draws from
+
+
+def _draw(rng, nbar):
+    r = float(rng.uniform(-R_MAX, R_MAX))
+    theta = float(rng.uniform(0.0, math.pi))
+    base = CovMat2.diagonal(
+        (2.0 * nbar + 1.0) * math.exp(2.0 * r), (2.0 * nbar + 1.0) * math.exp(-2.0 * r)
+    )
+    return squeezed_thermal(r, nbar, theta), GaussianState(rotate_cov(base, theta))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_uhlmann_is_symmetric_and_one_on_the_diagonal(seed):
+    rng = np.random.default_rng(seed)
+    states = [_draw(rng, nbar)[0] for nbar in (0.0, 0.0, 1e-6, 0.3, 0.9)]
+    states.append(coherent_fock(complex(*rng.normal(size=2))))
+    for i, a in enumerate(states):
+        assert abs(uhlmann_fock(a, a) - 1.0) < 1e-13
+        for b in states[i + 1:]:
+            assert abs(uhlmann_fock(a, b) - uhlmann_fock(b, a)) < 1e-13
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("log_nbar", [(-7.0, -3.0), (-3.0, 0.0)], ids=["near_pure", "mixed"])
+def test_uhlmann_matches_gaussian_fidelity(seed, log_nbar):
+    # nbar stays above zero: with one exactly pure operand the closed form takes
+    # sqrt((det C1 - 1)(det C2 - 1)) with det C1 - 1 rounding noise, which alone
+    # moves it by ~5e-9 against a mixed partner
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        (f1, g1), (f2, g2) = (_draw(rng, float(10.0 ** rng.uniform(*log_nbar))) for _ in "ab")
+        assert abs(uhlmann_fock(f1, f2) - uhlmann_fidelity_gaussian(g1, g2)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        pytest.param(coherent_fock, (0.5, 1), "dim must", id="coherent-dim1"),
+        pytest.param(coherent_fock, (0.5, 0), "dim must", id="coherent-dim0"),
+        pytest.param(thermal_fock, (0.1, 0), "dim must", id="thermal-dim0"),
+        pytest.param(squeezed_thermal, (0.1, 0.1, 0.0, 1), "dim must", id="squeezed-dim1"),
+        pytest.param(coherent_fock, (math.inf,), "alpha must", id="coherent-inf"),
+        pytest.param(coherent_fock, (complex(0.5, math.nan),), "alpha must", id="coherent-nan"),
+        pytest.param(thermal_fock, (math.nan,), "nbar must", id="thermal-nan"),
+        pytest.param(thermal_fock, (math.inf,), "nbar must", id="thermal-inf"),
+        pytest.param(squeezed_thermal, (math.nan, 0.1), "r must", id="squeezed-r-nan"),
+        pytest.param(squeezed_thermal, (0.1, math.inf), "nbar must", id="squeezed-nbar-inf"),
+        pytest.param(squeezed_thermal, (0.1, 0.1, -math.inf), "theta must", id="squeezed-theta"),
+        pytest.param(FockDensity, (np.zeros((0, 0)),), r"\(0, 0\)", id="density-empty"),
+    ],
+)
+def test_constructors_reject_bad_arguments_by_name(build, args, message):
+    with pytest.raises(ValueError, match=message):
+        build(*args)
