@@ -1,11 +1,12 @@
 """Truncated number-basis oracle for the Gaussian closed forms.
 
-States are dense matrices on the first ``dim`` Fock levels, built from
-the standard ladder operators: squeeze and displacement unitaries come
-from matrix exponentials of their generators, thermal states from the
-geometric photon distribution.  Each state is decomposed once, when it
-is validated, and every fidelity is a trace norm read from the two stored
-spectra.  Nothing here assumes any Gaussian identity, which is the
+States live on the first ``dim`` Fock levels, built from the standard
+ladder operators: squeeze and displacement unitaries come from matrix
+exponentials of their generators, thermal states from the geometric
+photon distribution.  Each state is held as the spectrum its constructor
+already knows, rho = V diag(w) V^H, so no state is ever formed as a dense
+matrix or diagonalised, and every fidelity is a trace norm read from the
+two spectra.  Nothing here assumes any Gaussian identity, which is the
 point: agreement with :mod:`qdverify.gaussian` validates those
 identities independently.
 
@@ -20,7 +21,7 @@ with up to one thermal photon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,49 +39,45 @@ __all__ = [
 
 DEFAULT_DIM = 120
 TRACE_TOL = 1e-6
-HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
-#: A state whose top eigenvalue reaches 1 - PURITY_TOL is treated as pure.
-PURITY_TOL = 1e-11
+#: Largest |V^H V - I| entry allowed; the trace sum(w_k |v_k|^2) is known no
+#: better, so it is also the rounding allowance above a trace of 1.
+ORTHONORMAL_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class FockDensity:
-    """A truncated density matrix with its invariants checked on entry.
+    """A truncated density matrix V diag(w) V^H, held as its spectrum.
 
-    ``matrix`` is a private read-only copy, so ``spectrum``, the read-only
-    ``(eigenvalues, eigenvectors)`` pair of the validating ``eigh``, stays
-    valid for the life of the state.  A pure state keeps only its top
-    eigenvector column.
+    ``weights`` are the eigenvalues and the columns of ``vectors`` the
+    orthonormal eigenvectors.  On entry the shapes, weights, trace and
+    orthonormality are checked, and only the columns of positive weight are
+    kept, as private read-only copies: a pure state holds one column.
     """
 
-    matrix: np.ndarray
-    spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    weights: np.ndarray
+    vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-            raise ValueError(f"density matrix must be square and non-empty: {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("density matrix must be Hermitian")
-        tr = float(np.trace(m).real)
-        if not (1.0 - TRACE_TOL <= tr <= 1.0 + HERMITICITY_TOL):
-            raise ValueError(
-                f"trace {tr!r} outside [1 - {TRACE_TOL}, 1]: truncation insufficient"
-            )
-        vals, vecs = np.linalg.eigh(m)
-        if float(vals[0]) < EIGENVALUE_FLOOR:
-            raise ValueError("density matrix has a significantly negative eigenvalue")
-        if float(vals[-1]) >= 1.0 - PURITY_TOL:
-            vecs = vecs[:, -1:].copy()
-        for arr in (m, vals, vecs):
+        w = np.array(self.weights, dtype=float)
+        v = np.array(self.vectors, dtype=complex)
+        if w.ndim != 1 or v.ndim != 2 or v.shape[1] != w.size or v.size == 0:
+            raise ValueError(f"shapes {w.shape}, {v.shape} are not (k,), (dim, k) with k > 0")
+        if not (np.isfinite(w).all() and w.min() >= EIGENVALUE_FLOOR):
+            raise ValueError(f"weights must be finite and at least {EIGENVALUE_FLOOR}")
+        tr = float(w.sum())
+        if not (1.0 - TRACE_TOL <= tr <= 1.0 + ORTHONORMAL_TOL):
+            raise ValueError(f"trace {tr!r} outside [1 - {TRACE_TOL}, 1]: too few Fock levels")
+        err = float(np.max(np.abs(v.conj().T @ v - np.eye(w.size))))
+        if not (err <= ORTHONORMAL_TOL):
+            raise ValueError(f"vectors are not orthonormal: max |V^H V - I| = {err!r}")
+        for name, arr in (("weights", w[w > 0.0]), ("vectors", v[:, w > 0.0])):
             arr.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "spectrum", (vals, vecs))
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.vectors.shape[0]
 
 
 def destroy(dim: int) -> np.ndarray:
@@ -99,12 +96,15 @@ def _check_args(dim: int, **params: complex) -> None:
 def coherent_fock(alpha: complex, dim: int = DEFAULT_DIM) -> FockDensity:
     """Coherent state built from its analytic number-basis amplitudes."""
     _check_args(dim, alpha=alpha)
-    amps = np.zeros(dim, dtype=complex)
-    amps[0] = 1.0
+    amps = np.empty(dim, dtype=complex)
+    # start from the normalisation, so no amplitude exceeds 1 on the way
+    amps[0] = math.exp(-0.5 * abs(alpha) * abs(alpha))
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    amps *= math.exp(-0.5 * abs(alpha) ** 2)
-    return FockDensity(np.outer(amps, amps.conj()))
+    norm2 = float(np.vdot(amps, amps).real)
+    if not norm2 >= 1.0 - TRACE_TOL:
+        raise ValueError(f"alpha={alpha!r} needs more than dim={dim} Fock levels")
+    return FockDensity([norm2], (amps / math.sqrt(norm2))[:, None])
 
 
 def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
@@ -117,7 +117,7 @@ def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
 def thermal_fock(nbar: float, dim: int = DEFAULT_DIM) -> FockDensity:
     """Thermal state with mean photon number ``nbar`` (geometric weights)."""
     _check_args(dim, nbar=nbar)
-    return FockDensity(np.diag(_thermal_weights(nbar, dim)))
+    return FockDensity(_thermal_weights(nbar, dim), np.eye(dim))
 
 
 def squeeze_matrix(r: float, dim: int) -> np.ndarray:
@@ -161,29 +161,26 @@ def squeezed_thermal(
     """
     _check_args(dim, r=r, nbar=nbar, theta=theta)
     s = squeeze_matrix(r, dim)
-    m = (s * _thermal_weights(nbar, dim)) @ s.T
-    if float(m.diagonal()[-2:].sum()) > TRACE_TOL:
+    p = _thermal_weights(nbar, dim)
+    # the top two diagonal entries of S diag(p) S^T
+    if float(((s[-2:] ** 2) @ p).sum()) > TRACE_TOL:
         raise ValueError(f"squeezing r={r!r} needs more than {dim} Fock levels")
     # the diagonal rotation exp(-i theta n) whose covariance action matches rotate_cov
     phase = np.exp(-1j * theta * np.arange(dim))
-    m = phase[:, None] * m * phase.conj()
-    return FockDensity(0.5 * (m + m.conj().T))
+    return FockDensity(p, phase[:, None] * s)
 
 
 def uhlmann_fock(r1: FockDensity, r2: FockDensity) -> float:
     """Fidelity Tr sqrt(sqrt(p1) p2 sqrt(p1)) as the trace norm |sqrt(p1) sqrt(p2)|_1.
 
-    From the stored spectra p = V diag(w) V^H this is the sum of the
+    With each state held as p = V diag(w) V^H, this is the sum of the
     singular values of diag(sqrt(w1)) V1^H V2 diag(sqrt(w2)), where a pure
-    state gives its one stored vector and top eigenvalue.  Singular values
-    carry absolute error near 1e-16: no rounding noise is square-rooted.
+    state gives its one vector and weight.  Singular values carry absolute
+    error near 1e-16: no rounding noise is square-rooted.
     """
     if r1.dim != r2.dim:
         raise ValueError(f"dimension mismatch: {r1.dim} vs {r2.dim}")
-    (s1, v1), (s2, v2) = (
-        (np.sqrt(np.clip(vals[-vecs.shape[1]:], 0.0, None)), vecs)
-        for vals, vecs in (r1.spectrum, r2.spectrum)
-    )
+    (s1, v1), (s2, v2) = ((np.sqrt(r.weights), r.vectors) for r in (r1, r2))
     x = s1[:, None] * (v1.conj().T @ v2) * s2
     return float(np.linalg.svd(x, compute_uv=False).sum())
 
@@ -192,13 +189,15 @@ def quadrature_moments_fock(r: FockDensity) -> tuple[float, float, float, float]
     """First and raw second quadrature moments (m1, m2, <x1^2>, <x2^2>).
 
     <a> and <a^2> are read from the first two subdiagonals, and
-    <a^dag a + a a^dag> from the diagonal, with the truncated ``destroy``.
+    <a^dag a + a a^dag> from the diagonal, with the truncated ``destroy``;
+    each band p[n+j, n] = sum_k w_k V[n+j, k] V*[n, k] comes from the spectrum.
     """
-    m = r.matrix
+    v, wv = r.vectors, r.vectors.conj() * r.weights
+    diag, sub1, sub2 = ((v[j:] * wv[:r.dim - j]).sum(axis=1) for j in range(3))
     n = np.arange(1.0, r.dim)
-    a1 = np.diagonal(m, -1) @ np.sqrt(n)
-    a2 = np.diagonal(m, -2) @ np.sqrt(n[:-1] * n[1:])
-    sym = m.diagonal().real @ np.append(2.0 * n - 1.0, r.dim - 1.0)
+    a1 = sub1 @ np.sqrt(n)
+    a2 = sub2 @ np.sqrt(n[:-1] * n[1:])
+    sym = diag.real @ np.append(2.0 * n - 1.0, r.dim - 1.0)
     return (
         float(a1.real), float(a1.imag),
         float(0.25 * sym + 0.5 * a2.real), float(0.25 * sym - 0.5 * a2.real),

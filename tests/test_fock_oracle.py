@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,11 @@ from qdverify.fock_oracle import (
 from qdverify.gaussian import CovMat2, GaussianState, rotate_cov, uhlmann_fidelity_gaussian
 
 
+def _dense(state):
+    """The density matrix V diag(w) V^H a state holds as its spectrum."""
+    return (state.vectors * state.weights) @ state.vectors.conj().T
+
+
 def test_destroy_matrix_elements():
     a = destroy(4)
     expected = np.zeros((4, 4))
@@ -29,7 +35,7 @@ def test_thermal_zero_is_vacuum():
     vac = thermal_fock(0.0, 12)
     expected = np.zeros((12, 12))
     expected[0, 0] = 1.0
-    assert np.allclose(vac.matrix, expected)
+    assert np.allclose(_dense(vac), expected)
 
 
 def test_thermal_moments():
@@ -82,7 +88,7 @@ def test_squeeze_scales_vacuum_variance():
     vac = np.zeros(80)
     vac[0] = 1.0
     amps = s @ vac
-    state = FockDensity(np.outer(amps, amps.conj()))
+    state = FockDensity([1.0], amps[:, None])
     _, _, s1, s2 = quadrature_moments_fock(state)
     assert s1 == pytest.approx(math.exp(0.8) / 4.0, abs=1e-8)
     assert s2 == pytest.approx(math.exp(-0.8) / 4.0, abs=1e-8)
@@ -93,8 +99,8 @@ def test_displacement_builds_coherent():
     vac = np.zeros(60, dtype=complex)
     vac[0] = 1.0
     amps = displacement_matrix(alpha, 60) @ vac
-    displaced = FockDensity(np.outer(amps, amps.conj()))
-    assert np.allclose(displaced.matrix, coherent_fock(alpha, 60).matrix, atol=1e-10)
+    displaced = FockDensity([1.0], amps[:, None])
+    assert np.allclose(_dense(displaced), _dense(coherent_fock(alpha, 60)), atol=1e-10)
 
 
 def test_uhlmann_coherent_pair():
@@ -124,13 +130,16 @@ def test_truncation_deficit_rejected():
 
 def test_density_validation():
     with pytest.raises(ValueError):
-        FockDensity(np.array([[0.5, 0.2], [0.1, 0.5]]))  # not Hermitian
+        FockDensity([0.5, 0.5], [[1.0, 0.1], [0.0, 1.0]])  # not orthonormal
     with pytest.raises(ValueError):
-        FockDensity(np.diag([0.7, 0.2]))  # trace deficit
+        FockDensity([0.7, 0.2], np.eye(2))  # trace deficit
     with pytest.raises(ValueError):
-        FockDensity(np.diag([1.5, -0.5]))  # negative weight
+        FockDensity([0.5, 0.5 + 1e-9], np.eye(2))  # trace excess
+    FockDensity([0.5, 0.5 + 1e-15], np.eye(2))  # rounding above a trace of 1 is accepted
     with pytest.raises(ValueError):
-        FockDensity(np.ones((2, 3)))
+        FockDensity([1.5, -0.5], np.eye(2))  # negative weight
+    with pytest.raises(ValueError):
+        FockDensity(np.full(2, 0.5), np.eye(3)[:, :1])  # one vector for two weights
 
 
 def _count_calls(monkeypatch, *names):
@@ -158,11 +167,26 @@ def test_uhlmann_reuses_each_states_decomposition(monkeypatch):
         calls.clear()
 
 
+def test_constructors_decompose_nothing(monkeypatch):
+    calls = _count_calls(monkeypatch, "eigh", "eigvalsh", "svd")
+    coherent_fock(0.5 + 0.3j)
+    thermal_fock(0.3)
+    squeezed_thermal(0.3, 0.2, 0.4)
+    assert calls == []
+
+
 def test_pure_state_keeps_only_its_top_vector():
-    vals, vecs = squeezed_thermal(0.4, 0.0, 0.0, 60).spectrum
-    assert vals.shape == (60,) and vecs.shape == (60, 1)
-    vals, vecs = squeezed_thermal(0.4, 0.3, 0.0, 60).spectrum
-    assert vecs.shape == (60, 60)
+    pure = [
+        squeezed_thermal(0.4, 0.0, 0.0, 60),
+        thermal_fock(0.0, 60),
+        coherent_fock(0.8 - 0.2j, 60),
+        FockDensity([1.0, -1e-12], np.eye(60)[:, :2]),  # the rounding weight is dropped
+    ]
+    for state in pure:
+        assert state.weights.shape == (1,) and state.vectors.shape == (60, 1)
+    assert pure[-1].weights[0] == 1.0
+    state = squeezed_thermal(0.4, 0.3, 0.0, 60)
+    assert state.weights.shape == (60,) and state.vectors.shape == (60, 60)
 
 
 @pytest.mark.parametrize("r", [-0.7, 0.05, 0.4, 0.7])
@@ -180,7 +204,7 @@ def _full_rank_density(dim, seed):
     # weight on every level, the top one included, where the truncated a a^dag is zero
     re, im = np.random.default_rng(seed).normal(size=(2, dim, dim))
     m = (re + 1j * im) @ (re - 1j * im).T
-    return FockDensity(m / np.trace(m).real)
+    return FockDensity(*np.linalg.eigh(m / np.trace(m).real))
 
 
 @pytest.mark.parametrize(
@@ -196,19 +220,21 @@ def test_moments_match_dense_traces(state):
     a = destroy(state.dim).astype(complex)
     x1 = 0.5 * (a + a.conj().T)
     x2 = (a - a.conj().T) / 2j
-    m = state.matrix
+    m = _dense(state)
     dense = [np.trace(m @ x).real for x in (x1, x2)]
     dense += [np.trace(m @ x @ x).real for x in (x1, x2)]
     assert np.max(np.abs(np.subtract(quadrature_moments_fock(state), dense))) < 1e-13
 
 
 def test_density_matrix_is_a_private_read_only_copy():
-    source = np.diag([0.75, 0.25]).astype(complex)
-    state = FockDensity(source)
-    source[0, 0] = 0.0
-    assert state.matrix[0, 0] == 0.75
+    weights, vectors = np.array([0.75, 0.25]), np.eye(2)
+    state = FockDensity(weights, vectors)
+    weights[0], vectors[0, 0] = 0.0, 0.0
+    assert state.weights[0] == 0.75 and state.vectors[0, 0] == 1.0
     with pytest.raises(ValueError):
-        state.matrix[0, 0] = 0.5
+        state.weights[0] = 0.5
+    with pytest.raises(ValueError):
+        state.vectors[0, 0] = 0.5
 
 
 R_MAX = 6.0 * math.log(10.0) / 20.0  # 6 dB, the range oracle-check draws from
@@ -243,7 +269,7 @@ def test_uhlmann_matches_gaussian_fidelity(seed, log_nbar):
     rng = np.random.default_rng(seed)
     for _ in range(20):
         (f1, g1), (f2, g2) = (_draw(rng, float(10.0 ** rng.uniform(*log_nbar))) for _ in "ab")
-        assert abs(uhlmann_fock(f1, f2) - uhlmann_fidelity_gaussian(g1, g2)) < 1e-9
+        assert abs(uhlmann_fock(f1, f2) - uhlmann_fidelity_gaussian(g1, g2)) < 1e-13
 
 
 @pytest.mark.parametrize(
@@ -260,9 +286,26 @@ def test_uhlmann_matches_gaussian_fidelity(seed, log_nbar):
         pytest.param(squeezed_thermal, (math.nan, 0.1), "r must", id="squeezed-r-nan"),
         pytest.param(squeezed_thermal, (0.1, math.inf), "nbar must", id="squeezed-nbar-inf"),
         pytest.param(squeezed_thermal, (0.1, 0.1, -math.inf), "theta must", id="squeezed-theta"),
-        pytest.param(FockDensity, (np.zeros((0, 0)),), r"\(0, 0\)", id="density-empty"),
+        pytest.param(FockDensity, ([], np.zeros((0, 0))), r"\(0, 0\)", id="density-empty"),
+        pytest.param(FockDensity, ([0.5, 0.5], np.eye(3)), r"\(3, 3\)", id="density-shapes"),
+        pytest.param(FockDensity, ([math.nan], [[1.0]]), "weights must", id="density-nan-weight"),
+        pytest.param(
+            FockDensity, ([1.0], [[math.nan], [0.0]]), "orthonormal", id="density-nan-vector"
+        ),
+        pytest.param(
+            FockDensity, ([0.5, 0.5], [[1.0, 0.1], [0.0, 1.0]]), "orthonormal", id="density-skewed"
+        ),
     ],
 )
 def test_constructors_reject_bad_arguments_by_name(build, args, message):
     with pytest.raises(ValueError, match=message):
         build(*args)
+
+
+@pytest.mark.parametrize("alpha", [1e10, 1e200, 30.0])
+def test_coherent_beyond_the_truncation_is_rejected(alpha):
+    # the amplitudes stay finite on the way: no overflow, no NaN trace
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"alpha=.*dim=120"):
+            coherent_fock(alpha, 120)
