@@ -96,10 +96,16 @@ def _check_args(dim: int, **params: complex) -> None:
 def coherent_fock(alpha: complex, dim: int = DEFAULT_DIM) -> FockDensity:
     """Coherent state built from its analytic number-basis amplitudes."""
     _check_args(dim, alpha=alpha)
+    mod = math.hypot(alpha.real, alpha.imag)  # abs() raises past the float range
+    if not mod * mod < dim:
+        raise ValueError(f"alpha={alpha!r} needs more than dim={dim} Fock levels")
+    n0 = int(mod * mod)  # start at the peak, in log space, and recurse away from it
     amps = np.empty(dim, dtype=complex)
-    # start from the normalisation, so no amplitude exceeds 1 on the way
-    amps[0] = math.exp(-0.5 * abs(alpha) * abs(alpha))
-    for n in range(1, dim):
+    log_peak = -0.5 * mod * mod + n0 * math.log(mod or 1.0) - 0.5 * math.lgamma(n0 + 1)
+    amps[n0] = math.exp(log_peak) * (alpha / (mod or 1.0)) ** n0
+    for n in range(n0, 0, -1):
+        amps[n - 1] = amps[n] * math.sqrt(n) / alpha
+    for n in range(n0 + 1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     norm2 = float(np.vdot(amps, amps).real)
     if not norm2 >= 1.0 - TRACE_TOL:
@@ -129,8 +135,9 @@ def squeeze_matrix(r: float, dim: int) -> np.ndarray:
     """
     from scipy.linalg import expm
 
-    a = destroy(dim)
-    gen = 0.5 * r * (a.T @ a.T - a @ a)
+    root = np.sqrt(np.arange(1.0, dim))  # the band of destroy(dim)
+    band = root[:-1] * root[1:]  # the bands of a^2 and a^dag^2, rounded as a @ a rounds
+    gen = 0.5 * r * (np.diag(band, -2) - np.diag(band, 2))
     s = np.zeros((dim, dim))
     for parity in (slice(0, None, 2), slice(1, None, 2)):
         s[parity, parity] = expm(gen[parity, parity])

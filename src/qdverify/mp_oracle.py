@@ -10,8 +10,9 @@ outcome chosen optimally, the average fidelity of the whole scheme is
 
 where the payoff is a smooth loop over the angle.  Maximising this over
 all weighted angle sets subject to POVM completeness reproduces, to
-numerical precision, the closed form in :mod:`qdverify.criterion`; the
-search here exists to verify that closed form rather than to be fast.
+numerical precision, the closed form in :mod:`qdverify.criterion`.  The
+search shares no formula with it and is still cheap: the grid's trigonometry
+is cached per resolution, and refinement and random draws run in scalar math.
 
 The tangent construction used in that verification pairs the payoff loop
 with an affine function of the angle whose square dominates the loop
@@ -21,7 +22,9 @@ the closed form exposed as :func:`tangency_residual`.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,17 +90,14 @@ class CQScheme:
             raise ValueError("weights and angles must have equal length")
         if not self.weights:
             raise ValueError("a scheme needs at least one element")
-        if any(w < -1e-12 for w in self.weights):
-            raise ValueError("weights must be non-negative")
+        if not all(math.isfinite(a) for a in self.angles):
+            raise ValueError(f"angles must be finite, got {self.angles!r}")
+        if not all(-1e-12 <= w < math.inf for w in self.weights):
+            raise ValueError(f"weights must be finite and non-negative, got {self.weights!r}")
 
     def completeness_residuals(self, ep: EnsembleParams) -> tuple[float, float, float]:
-        w = np.asarray(self.weights)
-        shifted = np.asarray(self.angles) + ep.axis_angle
-        return (
-            float(w.sum() - 2.0),
-            float(np.dot(w, np.cos(shifted))),
-            float(np.dot(w, np.sin(shifted))),
-        )
+        w, shifted = self.weights, [a + ep.axis_angle for a in self.angles]
+        return (sum(w) - 2.0, _dot(w, map(math.cos, shifted)), _dot(w, map(math.sin, shifted)))
 
 
 def ensemble_params(gamma: float, p_plus: float) -> EnsembleParams:
@@ -140,6 +140,29 @@ def _skew(ep: EnsembleParams, gamma: float) -> float:
     return (1.0 - ep.bias**2) * gamma * math.sqrt(max(1.0 - gamma * gamma, 0.0))
 
 
+def _payoff_coeffs(ep: EnsembleParams, gamma: float, gamma_prime: float) -> tuple:
+    t2 = gamma_prime * gamma_prime
+    return (1.0 - t2, ep.bias, ep.diff_norm, t2 / ep.diff_norm**2, _skew(ep, gamma))
+
+
+def _payoff_sq_cs(coeffs: tuple, c, s):
+    # The payoff from the cosine and sine of the angle, scalar or array.  Keep
+    # ``** 2``: a scalar one goes through libm pow, which rounds apart from
+    # ``x * x`` on about 1 argument in 1000, and the refined bits depend on it.
+    a, P, G, b, skew = coeffs
+    return a * (P + G * c) ** 2 + b * (G + P * c - skew * s) ** 2
+
+
+def _dot(x, y) -> float:
+    return sum(map(operator.mul, x, y))
+
+
+def _scheme_value(coeffs: tuple, weights, angles) -> float:
+    # (1 + sum_k (w_k / 2) sqrt(payoff_k)) / 2, summed in element order
+    roots = (math.sqrt(_payoff_sq_cs(coeffs, math.cos(a), math.sin(a))) for a in angles)
+    return 0.5 * (1.0 + _dot(weights, roots) / 2.0)
+
+
 def angle_payoff_sq(ep: EnsembleParams, gamma: float, gamma_prime: float, phi):
     """Squared per-unit-weight payoff of a projective element at ``phi``.
 
@@ -147,13 +170,7 @@ def angle_payoff_sq(ep: EnsembleParams, gamma: float, gamma_prime: float, phi):
     weighted by half the element trace, is the element's contribution to
     the scheme fidelity in :func:`scheme_fidelity`.
     """
-    t2 = gamma_prime * gamma_prime
-    P = ep.bias
-    G = ep.diff_norm
-    skew = _skew(ep, gamma)
-    c = np.cos(phi)
-    s = np.sin(phi)
-    return (1.0 - t2) * (P + G * c) ** 2 + (t2 / G**2) * (G + P * c - skew * s) ** 2
+    return _payoff_sq_cs(_payoff_coeffs(ep, gamma, gamma_prime), np.cos(phi), np.sin(phi))
 
 
 def payoff_tangent(ep: EnsembleParams, gamma: float, gamma_prime: float, phi):
@@ -192,21 +209,37 @@ def scheme_fidelity(
     _check_unit("gamma_prime", gamma_prime)
     ep = ensemble_params(gamma, p_plus)
     residuals = scheme.completeness_residuals(ep)
-    if any(abs(r) > COMPLETENESS_TOL for r in residuals):
-        raise ValueError(
-            f"scheme violates POVM completeness: residuals {residuals!r}"
-        )
-    w = np.asarray(scheme.weights)
-    payoff = np.sqrt(angle_payoff_sq(ep, gamma, gamma_prime, np.asarray(scheme.angles)))
-    return 0.5 * (1.0 + float(np.dot(w, payoff)) / 2.0)
+    if not all(abs(r) <= COMPLETENESS_TOL for r in residuals):  # NaN fails too
+        raise ValueError(f"scheme violates POVM completeness: residuals {residuals!r}")
+    return _scheme_value(_payoff_coeffs(ep, gamma, gamma_prime), scheme.weights, scheme.angles)
+
+
+def _pair_value(coeffs: tuple, c, s, c_back, s_back, sqrt=math.sqrt):
+    # Equal-weight antipodal pair {phi, phi + pi}: the only single-angle
+    # family that satisfies completeness automatically.  Takes the cosine and
+    # sine at both angles, scalars or, with np.sqrt, arrays.
+    forward = sqrt(_payoff_sq_cs(coeffs, c, s))
+    return 0.5 * (1.0 + 0.5 * (forward + sqrt(_payoff_sq_cs(coeffs, c_back, s_back))))
+
+
+def _pair_at(coeffs: tuple, phi: float) -> float:
+    back = phi + math.pi
+    return _pair_value(coeffs, math.cos(phi), math.sin(phi), math.cos(back), math.sin(back))
 
 
 def _projective_value(ep, gamma, gamma_prime, phi):
-    # Equal-weight antipodal pair {phi, phi + pi}: the only single-angle
-    # family that satisfies completeness automatically.
-    forward = np.sqrt(angle_payoff_sq(ep, gamma, gamma_prime, phi))
-    backward = np.sqrt(angle_payoff_sq(ep, gamma, gamma_prime, phi + math.pi))
-    return 0.5 * (1.0 + 0.5 * (forward + backward))
+    return _pair_at(_payoff_coeffs(ep, gamma, gamma_prime), phi)
+
+
+@functools.lru_cache(maxsize=2)
+def _grid(resolution: int) -> tuple[np.ndarray, ...]:
+    # The scan angles over [0, pi) and the cosine and sine at each angle and its
+    # antipode, read-only; -cos(phi) would round apart from cos(phi + pi).
+    phis = np.linspace(0.0, math.pi, resolution, endpoint=False)
+    grid = (phis, np.cos(phis), np.sin(phis), np.cos(phis + math.pi), np.sin(phis + math.pi))
+    for arr in grid:
+        arr.setflags(write=False)
+    return grid
 
 
 def random_scheme_search(
@@ -219,23 +252,22 @@ def random_scheme_search(
 ) -> tuple[CQScheme | None, float]:
     """Best fidelity over randomly drawn multi-element schemes.
 
-    Draws weighted angle sets, restores the two moment constraints by a
-    least-squares correction on the best-conditioned pair of weights,
-    drops any draw that would need a negative weight, and rescales to the
+    Draws weighted angle sets, restores the two moment constraints by an
+    exact correction on the best-conditioned pair of weights, drops any
+    draw that would need a negative weight, and rescales to the
     completeness sum.  Deterministic for a fixed seed.  Returns
     ``(None, -inf)`` when every draw is rejected.
     """
     ep = ensemble_params(gamma, p_plus)
+    coeffs = _payoff_coeffs(ep, gamma, gamma_prime)
     rng = np.random.default_rng(seed)
-    best_value = -math.inf
-    best_scheme = None
+    best_value, best = -math.inf, None
     for _ in range(n_schemes):
         k = int(rng.integers(2, _MAX_ELEMENTS + 1))
-        angles = rng.uniform(0.0, 2.0 * math.pi, k)
-        weights = rng.uniform(0.2, 1.0, k)
-        shifted = angles + ep.axis_angle
-        u = np.column_stack([np.cos(shifted), np.sin(shifted)])
-        moment = weights @ u
+        angles = rng.uniform(0.0, 2.0 * math.pi, k).tolist()
+        weights = rng.uniform(0.2, 1.0, k).tolist()
+        shifted = [a + ep.axis_angle for a in angles]
+        cs, sn = [math.cos(t) for t in shifted], [math.sin(t) for t in shifted]
         # Pick the pair of elements whose directions are least collinear.
         pair, pair_det = None, 0.0
         for i in range(k):
@@ -246,26 +278,28 @@ def random_scheme_search(
         if pair is None or pair_det < 1e-6:
             continue
         i, j = pair
-        basis = u[[i, j]].T
-        delta, *_ = np.linalg.lstsq(basis, -moment, rcond=None)
-        weights[i] += delta[0]
-        weights[j] += delta[1]
-        if np.any(weights < 0.0):
+        # Cancel the moment (mx, my) along elements i and j by Cramer's rule;
+        # the determinant is sin(shifted[j] - shifted[i]), of size >= 1e-6.
+        mx, my = _dot(weights, cs), _dot(weights, sn)
+        det = cs[i] * sn[j] - cs[j] * sn[i]
+        weights[i] += (my * cs[j] - mx * sn[j]) / det
+        weights[j] += (mx * sn[i] - my * cs[i]) / det
+        if min(weights) < 0.0:
             continue
-        total = weights.sum()
+        total = sum(weights)
         # A near-zero sum happens for near-antipodal pairs whose corrected
         # weights collapse; rescaling would amplify roundoff into a real
         # constraint violation, so such draws are rejected like any other.
         if total < 1e-6:
             continue
-        weights *= 2.0 / total
-        scheme = CQScheme(tuple(weights), tuple(angles))
-        if max(abs(r) for r in scheme.completeness_residuals(ep)) > COMPLETENESS_TOL:
+        weights = [w * (2.0 / total) for w in weights]
+        residuals = (sum(weights) - 2.0, _dot(weights, cs), _dot(weights, sn))
+        if not all(abs(r) <= COMPLETENESS_TOL for r in residuals):
             continue
-        value = scheme_fidelity(scheme, gamma, gamma_prime, p_plus)
+        value = _scheme_value(coeffs, weights, angles)
         if value > best_value:
-            best_value, best_scheme = value, scheme
-    return best_scheme, best_value
+            best_value, best = value, (weights, angles)
+    return (None if best is None else CQScheme(*map(tuple, best))), best_value
 
 
 def optimize_scheme(
@@ -289,18 +323,17 @@ def optimize_scheme(
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
     _check_unit("gamma_prime", gamma_prime)
-    ep = ensemble_params(gamma, p_plus)
+    coeffs = _payoff_coeffs(ensemble_params(gamma, p_plus), gamma, gamma_prime)
 
-    phis = np.linspace(0.0, math.pi, resolution, endpoint=False)
-    values = _projective_value(ep, gamma, gamma_prime, phis)
+    phis, *trig = _grid(resolution)
+    values = _pair_value(coeffs, *trig, sqrt=np.sqrt)
     k = int(np.argmax(values))
     step = math.pi / resolution
-    x, fx = _refine(
-        lambda phi: -_projective_value(ep, gamma, gamma_prime, phi),
-        phis[k] - step, phis[k] + step, phis[k], -values[k],
+    phi_k = float(phis[k])
+    best_phi, neg_value = _refine(
+        lambda phi: -_pair_at(coeffs, phi), phi_k - step, phi_k + step, phi_k, -float(values[k])
     )
-    best_phi, best_value = float(x), float(-fx)
-    best_scheme = CQScheme((1.0, 1.0), (best_phi, best_phi + math.pi))
+    best_scheme, best_value = CQScheme((1.0, 1.0), (best_phi, best_phi + math.pi)), -neg_value
 
     if n_random > 0:
         rand_scheme, rand_value = random_scheme_search(

@@ -200,6 +200,20 @@ def test_parity_split_squeeze_matches_full_exponential(r):
     assert np.max(np.abs(s @ s.T - np.eye(dim))) < 1e-13
 
 
+@pytest.mark.parametrize("dim", [2, 3, 8, 61, 120])
+@pytest.mark.parametrize("r", [-0.9, -0.2, 0.0, 0.3, 1.1])
+def test_banded_squeeze_generator_keeps_every_bit(r, dim):
+    # the dense generator from two ladder-operator products, split by parity
+    from scipy.linalg import expm
+
+    a = destroy(dim)
+    gen = 0.5 * r * (a.T @ a.T - a @ a)
+    dense = np.zeros((dim, dim))
+    for parity in (slice(0, None, 2), slice(1, None, 2)):
+        dense[parity, parity] = expm(gen[parity, parity])
+    assert np.array_equal(squeeze_matrix(r, dim), dense)
+
+
 def _full_rank_density(dim, seed):
     # weight on every level, the top one included, where the truncated a a^dag is zero
     re, im = np.random.default_rng(seed).normal(size=(2, dim, dim))
@@ -302,10 +316,38 @@ def test_constructors_reject_bad_arguments_by_name(build, args, message):
         build(*args)
 
 
-@pytest.mark.parametrize("alpha", [1e10, 1e200, 30.0])
+@pytest.mark.parametrize("alpha", [1e10, 1e200, 30.0, complex(1.7e308, 1.7e308)])
 def test_coherent_beyond_the_truncation_is_rejected(alpha):
     # the amplitudes stay finite on the way: no overflow, no NaN trace
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=r"alpha=.*dim=120"):
             coherent_fock(alpha, 120)
+
+
+def _coherent_from_vacuum(alpha, dim):
+    # amplitudes recursed upward from exp(-|alpha|^2 / 2) at n = 0
+    amps = np.empty(dim, dtype=complex)
+    amps[0] = math.exp(-0.5 * abs(alpha) * abs(alpha))
+    for n in range(1, dim):
+        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
+    return amps / math.sqrt(float(np.vdot(amps, amps).real))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, -1.0, 3 + 2j])
+def test_coherent_amplitudes_match_the_vacuum_recursion(alpha):
+    vector = coherent_fock(alpha, 120).vectors[:, 0]
+    assert np.max(np.abs(vector - _coherent_from_vacuum(alpha, 120))) <= 1e-15
+    if abs(alpha) <= 1.0:  # the recursion starts at level 0 or 1: the same bits
+        assert np.array_equal(vector, _coherent_from_vacuum(alpha, 120))
+
+
+def test_coherent_far_beyond_the_underflow_of_its_vacuum_amplitude():
+    # exp(-39**2 / 2) underflows to 0, the peak level 1521 does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        state = coherent_fock(39.0, 1900)
+    populations = state.weights[0] * np.abs(state.vectors[:, 0]) ** 2
+    assert abs(populations @ np.arange(1900) / 1521.0 - 1.0) <= 1e-9
+    with pytest.raises(ValueError, match=r"alpha=39.0 needs more than dim=1500"):
+        coherent_fock(39.0, 1500)

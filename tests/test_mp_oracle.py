@@ -16,6 +16,10 @@ from qdverify.criterion import OverlapPair, classical_fidelity_bound, total_nono
 from qdverify.mp_oracle import (
     COMPLETENESS_TOL,
     CQScheme,
+    _grid,
+    _pair_value,
+    _payoff_coeffs,
+    _projective_value,
     angle_payoff_sq,
     element_contribution,
     ensemble_params,
@@ -255,6 +259,118 @@ def test_splitting_an_element_changes_nothing():
     assert scheme_fidelity(split, gamma, gamma_prime, p_plus) == pytest.approx(
         scheme_fidelity(base, gamma, gamma_prime, p_plus), abs=1e-14
     )
+
+
+@pytest.mark.parametrize(
+    "weights, angles, name",
+    [
+        ((math.nan, 1.0), (0.0, math.pi), "weights"),
+        ((1.0, math.inf), (0.0, math.pi), "weights"),
+        ((1.0, 1.0), (math.nan, math.pi), "angles"),
+        ((1.0, 1.0), (0.0, -math.inf), "angles"),
+    ],
+)
+def test_scheme_rejects_non_finite_entries_by_name(weights, angles, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        CQScheme(weights, angles)
+
+
+def test_nan_completeness_residual_is_a_violation(monkeypatch):
+    ep = ensemble_params(0.5, 0.5)
+    pair = CQScheme((1.0, 1.0), (-ep.axis_angle, math.pi - ep.axis_angle))
+    assert scheme_fidelity(pair, 0.5, 0.6, 0.5) > 0.5
+    monkeypatch.setattr(
+        CQScheme, "completeness_residuals", lambda self, ep: (0.0, math.nan, 0.0)
+    )
+    with pytest.raises(ValueError, match="completeness"):
+        scheme_fidelity(pair, 0.5, 0.6, 0.5)
+
+
+# (gamma, gamma_prime, p_plus, seed) -> float.hex of the value and both angles,
+# at (resolution, n_random) = (2048, 16) and at the defaults (4096, 64)
+FROZEN_SEARCH = [
+    ((0.5, 0.6, 0.7, 7),
+     ("0x1.ee2d239be6cccp-1", "0x1.2b41deecd0047p-27", "0x1.921fb556f6ef7p+1"),
+     ("0x1.ee2d239be6cccp-1", "-0x1.6d1f328aae764p-26", "0x1.921fb5169eeb3p+1")),
+    ((0.3, 0.7, 0.62, 1),
+     ("0x1.fa66e9d3172ebp-1", "-0x1.d004c3eca7277p-27", "0x1.921fb52742854p+1"),
+     ("0x1.fa66e9d3172ecp-1", "-0x1.6787115da1369p-27", "0x1.921fb52dca607p+1")),
+    ((0.9, 0.1, 0.2, 99),
+     ("0x1.b29c6817dd698p-1", "-0x1.ca8d9c03087fcp-29", "0x1.921fb53d189b1p+1"),
+     ("0x1.b29c6817dd698p-1", "0x1.d03b59ba097ccp-26", "0x1.921fb57e4a3cbp+1")),
+    ((0.15, 0.9, 0.5, 12345),
+     ("0x1.ff73c44ab987fp-1", "0x1.9d37d4fc53f64p-28", "0x1.921fb5512c902p+1"),
+     ("0x1.ff73c44ab987fp-1", "0x1.52848d10e21f7p-31", "0x1.921fb54595561p+1")),
+    ((0.707, 0.707, 0.5, 3),
+     ("0x1.ddb3d77b4c8bfp-1", "0x1.9b64cfc625824p-26", "0x1.921fb577af6b8p+1"),
+     ("0x1.ddb3d77b4c8bep-1", "0x1.2f2367a0406f5p-38", "0x1.921fb544452fcp+1")),
+    ((0.62, 0.05, 0.88, 4242),
+     ("0x1.ea5a742ede6f2p-1", "-0x1.2dc076efa005bp-26", "0x1.921fb51e8ac2ap+1"),
+     ("0x1.ea5a742ede6f2p-1", "0x1.fe62127058815p-35", "0x1.921fb54462b7ap+1")),
+    # squaring the payoff terms as x * x in place of x ** 2 moves this value
+    ((0.5567007555908142, 0.1594333016119748, 0.7766750544516685, 28692),
+     ("0x1.e39a1274c53a6p-1", "-0x1.092bd88a5db52p-29", "0x1.921fb5401e222p+1"),
+     ("0x1.e39a1274c53a6p-1", "-0x1.53e5dd8f6883dp-27", "0x1.921fb52f0473ap+1")),
+]
+
+
+@pytest.mark.parametrize("args, small, default", FROZEN_SEARCH)
+def test_optimize_scheme_frozen_bits(args, small, default):
+    *point, seed = args
+    for expected, kwargs in ((small, dict(resolution=2048, n_random=16)), (default, {})):
+        scheme, value = optimize_scheme(*point, seed=seed, **kwargs)
+        assert scheme.weights == (1.0, 1.0)
+        assert (value.hex(), *(a.hex() for a in scheme.angles)) == expected
+
+
+def _numpy_pair_value(ep, gamma, gamma_prime, phi):
+    # the antipodal pair on arrays or numpy scalars, with the payoff written out
+    t2 = gamma_prime * gamma_prime
+    P, G = ep.bias, ep.diff_norm
+    skew = (1.0 - P**2) * gamma * math.sqrt(max(1.0 - gamma * gamma, 0.0))
+
+    def payoff(c, s):
+        return (1.0 - t2) * (P + G * c) ** 2 + (t2 / G**2) * (G + P * c - skew * s) ** 2
+
+    forward = np.sqrt(payoff(np.cos(phi), np.sin(phi)))
+    backward = np.sqrt(payoff(np.cos(phi + math.pi), np.sin(phi + math.pi)))
+    return 0.5 * (1.0 + 0.5 * (forward + backward))
+
+
+@pytest.mark.parametrize(
+    "gamma, gamma_prime, p_plus", [(ROOT2INV, ROOT2INV, 0.5), (0.6, 0.8, 0.3), (0.93, 0.02, 0.81)]
+)
+def test_pair_value_keeps_the_bits_of_the_numpy_route(gamma, gamma_prime, p_plus):
+    ep = ensemble_params(gamma, p_plus)
+    phis, *trig = _grid(2048)
+    grid = _pair_value(_payoff_coeffs(ep, gamma, gamma_prime), *trig, sqrt=np.sqrt)
+    assert np.array_equal(grid, _numpy_pair_value(ep, gamma, gamma_prime, phis))
+    scalar = np.array([_projective_value(ep, gamma, gamma_prime, phi) for phi in phis.tolist()])
+    numpy_scalar = [_numpy_pair_value(ep, gamma, gamma_prime, phi) for phi in phis]
+    assert np.array_equal(scalar, numpy_scalar)
+    # A scalar x ** 2 goes through libm pow, an array one through x * x, and
+    # the two round apart on about 1 in 1000 arguments: the scalar and the
+    # array route may then differ in the last bit.
+    assert np.max(np.abs(scalar - grid) / np.spacing(grid)) <= 1.0
+    assert np.count_nonzero(scalar != grid) <= 10
+
+
+def test_grid_is_cached_and_read_only():
+    first = _grid(2048)
+    assert _grid(2048) is first
+    for arr in first:
+        assert arr.shape == (2048,) and not arr.flags.writeable
+
+
+def test_scheme_search_calls_no_linear_algebra(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in ("lstsq", "solve", "inv", "pinv", "det", "svd", "eig", "eigh", "norm"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    optimize_scheme(0.5, 0.6, 0.7, resolution=2048, n_random=16, seed=3)
+    scheme, _ = random_scheme_search(0.5, 0.6, 0.7, n_schemes=40, seed=5)
+    assert scheme is not None
 
 
 def test_optimize_scheme_resolution_floor():
