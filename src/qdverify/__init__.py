@@ -10,7 +10,7 @@ plus :mod:`qdverify.fock_oracle` are independent numerical checks on the
 closed forms.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .applications import (
     AS_PUBLISHED,
@@ -29,7 +29,6 @@ from .applications import (
 from .criterion import (
     FidelityPair,
     OverlapPair,
-    PriorEnsemble,
     Verdict,
     boundary_curve,
     classical_fidelity_bound,
@@ -43,12 +42,10 @@ from .gaussian import (
     CovMat2,
     GaussianState,
     SqueezingRecord,
-    mixed_input_gamma,
     uhlmann_fidelity_gaussian,
 )
 from .quadrature_bounds import (
     QuadratureMoments,
-    coherent_bound,
     optimal_bound_squeezing,
     squeezed_vacuum_bound,
 )
@@ -63,7 +60,6 @@ __all__ = [
     "FidelityPair",
     "GaussianState",
     "OverlapPair",
-    "PriorEnsemble",
     "QuadratureMoments",
     "SqueezingRecord",
     "StorageRecord",
@@ -72,12 +68,10 @@ __all__ = [
     "benchmark_table",
     "boundary_curve",
     "classical_fidelity_bound",
-    "coherent_bound",
     "coherent_task_overlaps",
     "coherent_verify",
     "estimate_fidelity_from_clicks",
     "legendre_conjugate",
-    "mixed_input_gamma",
     "optimal_bound_squeezing",
     "qd_criterion",
     "qd_criterion_numeric",

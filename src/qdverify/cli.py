@@ -515,12 +515,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         report, curve, code = _HANDLERS[args.command](args)
+        # the CSV first, so an unwritable path leaves no report behind
+        if curve is not None and getattr(args, "curve_out", None):
+            _write_csv(args.curve_out, curve)
+        _emit(report, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.out)
-    if curve is not None and getattr(args, "curve_out", None):
-        _write_csv(args.curve_out, curve)
     return code
 
 

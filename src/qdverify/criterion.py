@@ -37,7 +37,6 @@ import numpy as np
 
 __all__ = [
     "OverlapPair",
-    "PriorEnsemble",
     "FidelityPair",
     "Verdict",
     "CLOSED_FORM",
@@ -173,30 +172,6 @@ class OverlapPair:
         _check_unit("gamma", self.gamma)
         _check_unit("gamma_prime", self.gamma_prime)
 
-    @property
-    def useful(self) -> bool:
-        """True when the pair yields B > 0, so the benchmark can be beaten."""
-        return self.gamma > 0.0 and self.gamma_prime < 1.0
-
-
-@dataclass(frozen=True)
-class PriorEnsemble:
-    """Prior weight of the first input state in the binary ensemble."""
-
-    p_plus: float
-
-    def __post_init__(self) -> None:
-        _check_unit("p_plus", self.p_plus)
-
-    @property
-    def p_minus(self) -> float:
-        return 1.0 - self.p_plus
-
-    @property
-    def bias(self) -> float:
-        """Signed prior imbalance p_plus - p_minus, in [-1, 1]."""
-        return 2.0 * self.p_plus - 1.0
-
 
 @dataclass(frozen=True)
 class FidelityPair:
@@ -217,10 +192,6 @@ class FidelityPair:
     @property
     def mean(self) -> float:
         return 0.5 * (self.a + self.b)
-
-    @property
-    def slope(self) -> float:
-        return self.b - self.a
 
 
 @dataclass(frozen=True)
@@ -255,16 +226,15 @@ def _bound(B: float, p_plus: float) -> float:
     return 0.5 * (1.0 + math.sqrt(B * bias * bias + 1.0 - B))
 
 
-def classical_fidelity_bound(B: float, p: PriorEnsemble | float) -> float:
+def classical_fidelity_bound(B: float, p_plus: float) -> float:
     """Best average fidelity any measure-and-prepare scheme can reach.
 
-    Accepts the prior either as a :class:`PriorEnsemble` or as a bare
-    ``p_plus`` float.  The value is (1 + K) / 2 with
-    K = sqrt(B * (2*p_plus - 1)**2 + 1 - B), lying in [1/2, 1].
+    ``p_plus`` is the prior weight of the first input.  The value is
+    (1 + K) / 2 with K = sqrt(B * (2*p_plus - 1)**2 + 1 - B), lying in
+    [1/2, 1].
     """
     _check_unit("B", B)
-    p_plus = p.p_plus if isinstance(p, PriorEnsemble) else _check_unit("p_plus", p)
-    return _bound(B, p_plus)
+    return _bound(B, _check_unit("p_plus", p_plus))
 
 
 def tangency_prior(B: float, slope: float) -> float:

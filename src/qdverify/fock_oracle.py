@@ -1,9 +1,9 @@
 """Truncated number-basis oracle for the Gaussian closed forms.
 
 States live on the first ``dim`` Fock levels, built from the standard
-ladder operators: squeeze and displacement unitaries come from matrix
-exponentials of their generators, thermal states from the geometric
-photon distribution.  Each state is held as the spectrum its constructor
+ladder operators: squeeze unitaries come from matrix exponentials of
+their generators, thermal states from the geometric photon
+distribution.  Each state is held as the spectrum its constructor
 already knows, rho = V diag(w) V^H, so no state is ever formed as a dense
 matrix or diagonalised, and every fidelity is a trace norm read from the
 two spectra.  Nothing here assumes any Gaussian identity, which is the
@@ -31,7 +31,6 @@ __all__ = [
     "coherent_fock",
     "thermal_fock",
     "squeeze_matrix",
-    "displacement_matrix",
     "squeezed_thermal",
     "uhlmann_fock",
     "quadrature_moments_fock",
@@ -133,6 +132,7 @@ def squeeze_matrix(r: float, dim: int) -> np.ndarray:
     diagonal in the even and odd levels, and each block is exponentiated
     on its own (two half-size exponentials cost about a third of one).
     """
+    _check_args(dim, r=r)
     from scipy.linalg import expm
 
     root = np.sqrt(np.arange(1.0, dim))  # the band of destroy(dim)
@@ -142,15 +142,6 @@ def squeeze_matrix(r: float, dim: int) -> np.ndarray:
     for parity in (slice(0, None, 2), slice(1, None, 2)):
         s[parity, parity] = expm(gen[parity, parity])
     return s
-
-
-def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
-    """Displacement unitary moving the vacuum to the coherent state alpha."""
-    from scipy.linalg import expm
-
-    a = destroy(dim).astype(complex)
-    gen = alpha * a.conj().T - np.conj(alpha) * a
-    return expm(gen)
 
 
 def squeezed_thermal(

@@ -33,7 +33,6 @@ __all__ = [
     "optimal_target_squeezing",
     "input_overlap_sq",
     "target_overlap_sq",
-    "mixed_input_gamma",
 ]
 
 #: Slack allowed below the physical determinant floor det(C) >= 1.
@@ -65,14 +64,6 @@ class CovMat2:
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.c11, self.c12], [self.c12, self.c22]])
-
-    @classmethod
-    def from_array(cls, m: np.ndarray) -> "CovMat2":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (2, 2) or abs(m[0, 1] - m[1, 0]) > 1e-10:
-            raise ValueError("expected a symmetric 2x2 array")
-        off = 0.5 * (m[0, 1] + m[1, 0])
-        return cls(float(m[0, 0]), float(off), float(m[1, 1]))
 
     @classmethod
     def diagonal(cls, v1: float, v2: float) -> "CovMat2":
@@ -201,15 +192,6 @@ def target_overlap_sq(x_var, y_var, theta):
     """
     _check_variances(x_var, y_var, physical=False)
     return 2.0 / np.sqrt(2.0 + _rotation_spread(x_var, y_var, theta))
-
-
-def mixed_input_gamma(g1: GaussianState, g2: GaussianState) -> float:
-    """Overlap parameter to feed the criterion when the inputs are mixed.
-
-    For mixed test inputs the benchmark stays valid with the input
-    overlap replaced by the fidelity between them; this is that value.
-    """
-    return uhlmann_fidelity_gaussian(g1, g2)
 
 
 def _rotation_spread(x_var, y_var, theta):

@@ -35,7 +35,6 @@ __all__ = [
     "EnsembleParams",
     "CQScheme",
     "ensemble_params",
-    "element_contribution",
     "angle_payoff_sq",
     "payoff_tangent",
     "tangency_residual",
@@ -63,14 +62,6 @@ class EnsembleParams:
     bias: float
     diff_norm: float
     axis_angle: float
-
-    @property
-    def axis_cos(self) -> float:
-        return math.cos(self.axis_angle)
-
-    @property
-    def axis_sin(self) -> float:
-        return math.sin(self.axis_angle)
 
 
 @dataclass(frozen=True)
@@ -112,26 +103,6 @@ def ensemble_params(gamma: float, p_plus: float) -> EnsembleParams:
             "identical inputs with a balanced prior leave the ensemble frame undefined"
         )
     return EnsembleParams(bias, norm, math.atan2(y, x))
-
-
-def element_contribution(prob_mass: float, diff_mass: float, target_overlap: float) -> float:
-    """Largest eigenvalue contributed by one POVM outcome.
-
-    ``prob_mass`` is the total probability routed through the element and
-    ``diff_mass`` the signed prior-weighted difference it picks up; the
-    optimal preparation for the outcome recovers the top eigenvalue of
-    the associated target mixture,
-    (prob + sqrt(prob**2 * t**2 + diff**2 * (1 - t**2))) / 2.
-    """
-    t = _check_unit("target_overlap", target_overlap)
-    if prob_mass < abs(diff_mass):
-        raise ValueError("prob_mass must dominate |diff_mass|")
-    if diff_mass != diff_mass:  # NaN guard
-        raise ValueError("diff_mass must be a number")
-    return 0.5 * (
-        prob_mass
-        + math.sqrt(prob_mass**2 * t * t + diff_mass**2 * (1.0 - t * t))
-    )
 
 
 def _skew(ep: EnsembleParams, gamma: float) -> float:

@@ -1,7 +1,7 @@
 """Fidelity lower bounds built from homodyne quadrature moments.
 
-Direct projection probabilities onto a squeezed-vacuum or coherent
-target are rarely measured; first and second quadrature moments are.
+Direct projection probabilities onto a squeezed-vacuum target are
+rarely measured; first and second quadrature moments are.
 Bounding the target's number operator expectation by the measured
 moments gives a fidelity floor that needs no tomography:
 
@@ -24,7 +24,6 @@ __all__ = [
     "QuadratureMoments",
     "squeezed_vacuum_bound",
     "optimal_bound_squeezing",
-    "coherent_bound",
 ]
 
 CENTERING_TOL = 1e-9
@@ -84,16 +83,3 @@ def optimal_bound_squeezing(q: QuadratureMoments) -> float:
     if q.s1 <= 0.0 or q.s2 <= 0.0:
         raise ValueError("second moments must be positive")
     return 0.25 * math.log(q.s1 / q.s2)
-
-
-def coherent_bound(q_raw: QuadratureMoments, target_mean: tuple[float, float]) -> float:
-    """Fidelity floor onto the coherent state centred at ``target_mean``.
-
-    Shifts the raw moments to the target point internally, so uncentered
-    data are fine here; equals :func:`squeezed_vacuum_bound` at r = 0 on
-    the shifted moments.
-    """
-    t1, t2 = target_mean
-    shifted1 = q_raw.s1 - 2.0 * t1 * q_raw.m1 + t1 * t1
-    shifted2 = q_raw.s2 - 2.0 * t2 * q_raw.m2 + t2 * t2
-    return 1.5 - shifted1 - shifted2

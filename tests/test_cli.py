@@ -367,6 +367,22 @@ def test_sample_counts_are_capped_before_allocating(capsys, argv, flag, value):
     assert cap.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["boundary", "--B", "0.5", "--points", "3"], "--curve-out"),
+        ([*SQUEEZED_FLAG_ARGV, "--theta-points", "64"], "--curve-out"),
+        (["criterion", "--a", "0.9", "--b", "0.9", "--B", "0.5"], "--out"),
+    ],
+)
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv, flag):
+    target = tmp_path / "missing" / "out"
+    code, cap = _run(capsys, [*argv, flag, str(target)])
+    assert code == 2
+    assert cap.err.startswith("error:") and str(target) in cap.err
+    assert cap.out == ""
+
+
 @pytest.mark.parametrize("dim", [-1, 0, DIM_RANGE[0] - 1, DIM_RANGE[1] + 1, 100_000])
 def test_oracle_check_rejects_dim_outside_its_range(capsys, dim):
     code, cap = _run(capsys, [*SMALL_ORACLE_ARGV, "--dim", str(dim)])

@@ -17,7 +17,6 @@ from qdverify.criterion import (
     NUMERIC_SUP,
     FidelityPair,
     OverlapPair,
-    PriorEnsemble,
     _bound,
     _minimize_bounded,
     boundary_curve,
@@ -45,9 +44,6 @@ def test_bound_examples():
     assert classical_fidelity_bound(0.25, 0.5) == pytest.approx(RHS_FLAT_B025)
     assert classical_fidelity_bound(0.25, 0.75) == pytest.approx(BOUND_B025_P075)
     assert classical_fidelity_bound(0.25, 1.0) == pytest.approx(1.0)
-    assert classical_fidelity_bound(0.25, PriorEnsemble(0.75)) == pytest.approx(
-        BOUND_B025_P075
-    )
 
 
 def test_bound_symmetric_in_prior():
@@ -83,9 +79,6 @@ def test_total_nonorthogonality():
     assert total_nonorthogonality(OverlapPair(0.8, 0.6)) == pytest.approx(0.4096)
     assert total_nonorthogonality(OverlapPair(1.0, 0.0)) == pytest.approx(1.0)
     assert total_nonorthogonality(OverlapPair(0.0, 0.5)) == 0.0
-    assert OverlapPair(0.8, 0.6).useful
-    assert not OverlapPair(0.0, 0.6).useful
-    assert not OverlapPair(0.8, 1.0).useful
 
 
 def test_input_validation():
@@ -98,15 +91,9 @@ def test_input_validation():
     with pytest.raises(ValueError):
         FidelityPair(0.5, 1.01)
     with pytest.raises(ValueError):
-        PriorEnsemble(1.5)
+        classical_fidelity_bound(0.5, 1.5)
     with pytest.raises(ValueError):
         classical_fidelity_bound(1.1, 0.5)
-
-
-def test_prior_ensemble_bias():
-    p = PriorEnsemble(0.75)
-    assert p.p_minus == pytest.approx(0.25)
-    assert p.bias == pytest.approx(0.5)
 
 
 def test_flat_chord_verdicts():

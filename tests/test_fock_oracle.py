@@ -8,7 +8,6 @@ from qdverify.fock_oracle import (
     FockDensity,
     coherent_fock,
     destroy,
-    displacement_matrix,
     quadrature_moments_fock,
     squeeze_matrix,
     squeezed_thermal,
@@ -92,15 +91,6 @@ def test_squeeze_scales_vacuum_variance():
     _, _, s1, s2 = quadrature_moments_fock(state)
     assert s1 == pytest.approx(math.exp(0.8) / 4.0, abs=1e-8)
     assert s2 == pytest.approx(math.exp(-0.8) / 4.0, abs=1e-8)
-
-
-def test_displacement_builds_coherent():
-    alpha = 0.8 + 0.2j
-    vac = np.zeros(60, dtype=complex)
-    vac[0] = 1.0
-    amps = displacement_matrix(alpha, 60) @ vac
-    displaced = FockDensity([1.0], amps[:, None])
-    assert np.allclose(_dense(displaced), _dense(coherent_fock(alpha, 60)), atol=1e-10)
 
 
 def test_uhlmann_coherent_pair():
@@ -300,6 +290,10 @@ def test_uhlmann_matches_gaussian_fidelity(seed, log_nbar):
         pytest.param(squeezed_thermal, (math.nan, 0.1), "r must", id="squeezed-r-nan"),
         pytest.param(squeezed_thermal, (0.1, math.inf), "nbar must", id="squeezed-nbar-inf"),
         pytest.param(squeezed_thermal, (0.1, 0.1, -math.inf), "theta must", id="squeezed-theta"),
+        pytest.param(squeeze_matrix, (math.nan, 10), "r must", id="squeeze-matrix-r-nan"),
+        pytest.param(squeeze_matrix, (math.inf, 10), "r must", id="squeeze-matrix-r-inf"),
+        pytest.param(squeeze_matrix, (0.3, 0), "dim must", id="squeeze-matrix-dim0"),
+        pytest.param(squeeze_matrix, (0.3, 1), "dim must", id="squeeze-matrix-dim1"),
         pytest.param(FockDensity, ([], np.zeros((0, 0))), r"\(0, 0\)", id="density-empty"),
         pytest.param(FockDensity, ([0.5, 0.5], np.eye(3)), r"\(3, 3\)", id="density-shapes"),
         pytest.param(FockDensity, ([math.nan], [[1.0]]), "weights must", id="density-nan-weight"),

@@ -21,7 +21,6 @@ from qdverify.mp_oracle import (
     _payoff_coeffs,
     _projective_value,
     angle_payoff_sq,
-    element_contribution,
     ensemble_params,
     optimize_scheme,
     payoff_tangent,
@@ -72,42 +71,13 @@ def test_ensemble_params_geometry():
     ep = ensemble_params(ROOT2INV, 0.75)
     assert ep.bias == pytest.approx(0.5)
     assert ep.diff_norm == pytest.approx(0.7905694150420949)
-    assert math.hypot(ep.axis_cos, ep.axis_sin) == pytest.approx(1.0)
-    assert ep.diff_norm * ep.axis_cos == pytest.approx(0.5 * ROOT2INV)
+    assert ep.diff_norm * math.cos(ep.axis_angle) == pytest.approx(0.5 * ROOT2INV)
+    assert ep.diff_norm * math.sin(ep.axis_angle) == pytest.approx(ROOT2INV)
 
 
 def test_ensemble_params_undefined_frame():
     with pytest.raises(ValueError):
         ensemble_params(1.0, 0.5)
-
-
-def test_element_contribution_frozen():
-    assert element_contribution(0.5, 0.3, 0.6) == pytest.approx(0.44209372712298545)
-    assert element_contribution(1.0, 0.0, 1.0) == pytest.approx(1.0)
-
-
-def test_element_contribution_matches_eigenvalue():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        t = rng.uniform(0.0, 1.0)
-        prob = rng.uniform(0.1, 1.0)
-        diff = rng.uniform(-prob, prob)
-        plus = np.array([1.0, 0.0])
-        minus = np.array([t, math.sqrt(1.0 - t * t)])
-        mix = 0.5 * (prob + diff) * np.outer(plus, plus) + 0.5 * (prob - diff) * np.outer(
-            minus, minus
-        )
-        top = float(np.linalg.eigvalsh(mix)[-1])
-        assert element_contribution(prob, diff, t) == pytest.approx(top, abs=1e-13)
-
-
-def test_element_contribution_validation():
-    with pytest.raises(ValueError):
-        element_contribution(0.2, 0.3, 0.5)
-    with pytest.raises(ValueError):
-        element_contribution(0.5, math.nan, 0.5)
-    with pytest.raises(ValueError):
-        element_contribution(0.5, 0.1, 1.2)
 
 
 @pytest.mark.parametrize(

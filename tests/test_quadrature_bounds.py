@@ -4,16 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from qdverify.fock_oracle import (
-    coherent_fock,
-    quadrature_moments_fock,
-    squeezed_thermal,
-    thermal_fock,
-    uhlmann_fock,
-)
+from qdverify.fock_oracle import quadrature_moments_fock, squeezed_thermal, uhlmann_fock
 from qdverify.quadrature_bounds import (
     QuadratureMoments,
-    coherent_bound,
     optimal_bound_squeezing,
     squeezed_vacuum_bound,
 )
@@ -99,15 +92,6 @@ def test_bound_may_certify_nothing():
     assert squeezed_vacuum_bound(hot, 0.0) < 0.0
 
 
-def test_coherent_bound_exact_on_coherent_moments():
-    m1, m2 = 0.7, -0.4
-    q = QuadratureMoments(m1, m2, 0.25 + m1 * m1, 0.25 + m2 * m2)
-    assert coherent_bound(q, (m1, m2)) == pytest.approx(1.0, abs=1e-12)
-    # aiming at the wrong centre costs exactly the squared distance
-    off = coherent_bound(q, (m1 + 0.3, m2))
-    assert off == pytest.approx(1.0 - 0.09, abs=1e-12)
-
-
 def test_bound_sound_against_exact_projections():
     rng = np.random.default_rng(14)
     dim = 100
@@ -124,11 +108,3 @@ def test_bound_sound_against_exact_projections():
         for r, target in targets.items():
             truth = uhlmann_fock(state, target) ** 2
             assert squeezed_vacuum_bound(q, r) <= truth + 1e-9
-
-
-def test_coherent_bound_sound_against_fock():
-    alpha = 0.9
-    state = thermal_fock(0.05, 80)
-    m1, m2, s1, s2 = quadrature_moments_fock(state)
-    truth = uhlmann_fock(state, coherent_fock(alpha, 80)) ** 2
-    assert coherent_bound(QuadratureMoments(m1, m2, s1, s2), (alpha, 0.0)) <= truth + 1e-9
