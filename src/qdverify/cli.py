@@ -14,9 +14,13 @@ tolerance.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
+import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -492,19 +496,53 @@ _HANDLERS = {
 }
 
 
-def _write_csv(path: str, columns: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(zip(*columns.values()))
+def _csv_text(columns: dict) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*columns.values()))
+    return buf.getvalue()
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+def _write_all(files: list[tuple[str, str]]) -> None:
+    """Write each (path, text) so that a failed write changes no regular file.
+
+    A text bound for a regular file, or a new one, first goes to a fresh file
+    beside it (symlinks resolved), and the targets are replaced only once
+    every text is written.  A device or pipe such as /dev/stdout cannot be
+    replaced, so it is written in place, after them.  Errors name the path
+    given.
+    """
+    staged, in_place = [], []
+    try:
+        for path, text in files:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            if os.path.exists(path):
+                if not os.path.isfile(path):
+                    in_place.append((path, text))
+                    continue
+                if not os.access(path, os.W_OK):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            real = os.path.realpath(path)
+            tmp = f"{real}.{os.urandom(4).hex()}.tmp"
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+            staged.append((tmp, real))
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        for tmp, real in staged:
+            os.replace(tmp, real)
+    except BaseException:
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        raise
+    for path, text in in_place:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -515,10 +553,15 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         report, curve, code = _HANDLERS[args.command](args)
-        # the CSV first, so an unwritable path leaves no report behind
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+        files = []
         if curve is not None and getattr(args, "curve_out", None):
-            _write_csv(args.curve_out, curve)
-        _emit(report, args.out)
+            files.append((args.curve_out, _csv_text(curve)))
+        if args.out is not None:
+            files.append((args.out, text))
+        _write_all(files)
+        if args.out is None:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

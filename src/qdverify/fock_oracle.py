@@ -6,9 +6,12 @@ their generators, thermal states from the geometric photon
 distribution.  Each state is held as the spectrum its constructor
 already knows, rho = V diag(w) V^H, so no state is ever formed as a dense
 matrix or diagonalised, and every fidelity is a trace norm read from the
-two spectra.  Nothing here assumes any Gaussian identity, which is the
-point: agreement with :mod:`qdverify.gaussian` validates those
-identities independently.
+two spectra.  A spectrum keeps only the rank it needs: its lightest
+columns, of total weight at most ``DROPPED_WEIGHT`` = 1e-26, are dropped,
+which lowers a fidelity by at most 2e-13 and leaves a squeezed thermal
+state at dim 120 with 20 to 87 columns for nbar between 0.05 and 1.
+Nothing here assumes any Gaussian identity, which is the point: agreement
+with :mod:`qdverify.gaussian` validates those identities independently.
 
 Truncation is treated as a hard precondition, not a degradation: state
 constructors raise when the retained trace falls below 1 - 1e-6, or,
@@ -42,6 +45,9 @@ EIGENVALUE_FLOOR = -1e-10
 #: Largest |V^H V - I| entry allowed; the trace sum(w_k |v_k|^2) is known no
 #: better, so it is also the rounding allowance above a trace of 1.
 ORTHONORMAL_TOL = 1e-10
+#: Largest total weight of the lightest columns a state drops; each fidelity
+#: with the state moves down by at most sqrt(DROPPED_WEIGHT).
+DROPPED_WEIGHT = 1e-26
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,9 +55,12 @@ class FockDensity:
     """A truncated density matrix V diag(w) V^H, held as its spectrum.
 
     ``weights`` are the eigenvalues and the columns of ``vectors`` the
-    orthonormal eigenvectors.  On entry the shapes, weights, trace and
-    orthonormality are checked, and only the columns of positive weight are
-    kept, as private read-only copies: a pure state holds one column.
+    orthonormal eigenvectors.  On entry the shapes, weights and trace are
+    checked.  Then the columns of weight at most 0 are dropped, and so are
+    the lightest positive ones while their weights sum to at most
+    ``DROPPED_WEIGHT``; the rest keep their order, and only they are checked
+    for orthonormality and kept, as private read-only copies.  A pure state
+    holds one column.
     """
 
     weights: np.ndarray
@@ -59,7 +68,7 @@ class FockDensity:
 
     def __post_init__(self) -> None:
         w = np.array(self.weights, dtype=float)
-        v = np.array(self.vectors, dtype=complex)
+        v = np.asarray(self.vectors)
         if w.ndim != 1 or v.ndim != 2 or v.shape[1] != w.size or v.size == 0:
             raise ValueError(f"shapes {w.shape}, {v.shape} are not (k,), (dim, k) with k > 0")
         if not (np.isfinite(w).all() and w.min() >= EIGENVALUE_FLOOR):
@@ -67,10 +76,16 @@ class FockDensity:
         tr = float(w.sum())
         if not (1.0 - TRACE_TOL <= tr <= 1.0 + ORTHONORMAL_TOL):
             raise ValueError(f"trace {tr!r} outside [1 - {TRACE_TOL}, 1]: too few Fock levels")
+        # drop the columns of weight <= 0, then the lightest while their sum stays
+        # within DROPPED_WEIGHT (of equal weights, the earlier column goes first)
+        keep = w > 0.0
+        lightest = np.flatnonzero(keep)[np.argsort(w[keep], kind="stable")]
+        keep[lightest[: np.searchsorted(np.cumsum(w[lightest]), DROPPED_WEIGHT, "right")]] = False
+        w, v = w[keep], v[:, keep].astype(complex, copy=False)
         err = float(np.max(np.abs(v.conj().T @ v - np.eye(w.size))))
         if not (err <= ORTHONORMAL_TOL):
             raise ValueError(f"vectors are not orthonormal: max |V^H V - I| = {err!r}")
-        for name, arr in (("weights", w[w > 0.0]), ("vectors", v[:, w > 0.0])):
+        for name, arr in (("weights", w), ("vectors", v)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -174,7 +189,10 @@ def uhlmann_fock(r1: FockDensity, r2: FockDensity) -> float:
     With each state held as p = V diag(w) V^H, this is the sum of the
     singular values of diag(sqrt(w1)) V1^H V2 diag(sqrt(w2)), where a pure
     state gives its one vector and weight.  Singular values carry absolute
-    error near 1e-16: no rounding noise is square-rooted.
+    error near 1e-16: no rounding noise is square-rooted.  The columns each
+    state dropped, of weight d <= ``DROPPED_WEIGHT``, share its eigenbasis,
+    so |sqrt(p_d) sqrt(s)|_1 <= |sqrt(p_d)|_2 |sqrt(s)|_2 = sqrt(d): the
+    full-rank fidelity is higher by at most 2 sqrt(DROPPED_WEIGHT) = 2e-13.
     """
     if r1.dim != r2.dim:
         raise ValueError(f"dimension mismatch: {r1.dim} vs {r2.dim}")

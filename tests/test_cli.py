@@ -367,11 +367,17 @@ def test_sample_counts_are_capped_before_allocating(capsys, argv, flag, value):
     assert cap.out == ""
 
 
+CURVE_ARGVS = {
+    "boundary": ["boundary", "--B", "0.5", "--points", "3"],
+    "squeezed": [*SQUEEZED_FLAG_ARGV, "--theta-points", "64"],
+}
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["boundary", "--B", "0.5", "--points", "3"], "--curve-out"),
-        ([*SQUEEZED_FLAG_ARGV, "--theta-points", "64"], "--curve-out"),
+        (CURVE_ARGVS["boundary"], "--curve-out"),
+        (CURVE_ARGVS["squeezed"], "--curve-out"),
         (["criterion", "--a", "0.9", "--b", "0.9", "--B", "0.5"], "--out"),
     ],
 )
@@ -381,6 +387,41 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, argv, flag):
     assert code == 2
     assert cap.err.startswith("error:") and str(target) in cap.err
     assert cap.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", list(CURVE_ARGVS))
+@pytest.mark.parametrize("bad, good", [("--out", "--curve-out"), ("--curve-out", "--out")])
+@pytest.mark.parametrize("existing", [None, "old contents\n"], ids=["new", "existing"])
+def test_unwritable_output_path_leaves_the_other_as_it_was(
+    tmp_path, capsys, name, bad, good, existing
+):
+    # a run that exits 2 creates no file at the writable path, nor changes one there
+    target, kept = tmp_path / "missing" / "out", tmp_path / "kept"
+    if existing is not None:
+        kept.write_text(existing, encoding="utf-8")
+    code, cap = _run(capsys, [*CURVE_ARGVS[name], bad, str(target), good, str(kept)])
+    assert code == 2
+    assert cap.err.startswith("error:") and str(target) in cap.err
+    assert cap.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if existing is None else ["kept"])
+    if existing is not None:
+        assert kept.read_text(encoding="utf-8") == existing
+
+
+@pytest.mark.parametrize("name", list(CURVE_ARGVS))
+def test_output_files_replace_their_targets_whole(tmp_path, capsys, name):
+    out, curve, link = tmp_path / "report.json", tmp_path / "curve.csv", tmp_path / "link.csv"
+    for path in (out, curve):
+        path.write_text("old contents\n", encoding="utf-8")
+    link.symlink_to(curve)
+    code, cap = _run(capsys, [*CURVE_ARGVS[name], "--out", str(out), "--curve-out", str(link)])
+    assert code == 0 and cap.out == "" and cap.err == ""
+    assert json.loads(out.read_text(encoding="utf-8"))["tool"] == "qdverify"
+    assert curve.read_text(encoding="utf-8").startswith(("a,b\n", "theta,"))
+    # the link still points at its target, and no staging file is left behind
+    assert link.is_symlink() and link.resolve() == curve.resolve()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "link.csv", "report.json"]
 
 
 @pytest.mark.parametrize("dim", [-1, 0, DIM_RANGE[0] - 1, DIM_RANGE[1] + 1, 100_000])

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from qdverify.fock_oracle import (
+    DEFAULT_DIM,
+    DROPPED_WEIGHT,
     FockDensity,
     coherent_fock,
     destroy,
@@ -176,7 +178,73 @@ def test_pure_state_keeps_only_its_top_vector():
         assert state.weights.shape == (1,) and state.vectors.shape == (60, 1)
     assert pure[-1].weights[0] == 1.0
     state = squeezed_thermal(0.4, 0.3, 0.0, 60)
-    assert state.weights.shape == (60,) and state.vectors.shape == (60, 60)
+    assert state.weights.shape == (41,) and state.vectors.shape == (60, 41)
+
+
+def _geometric(nbar, dim):
+    return np.array([nbar**n / (1.0 + nbar) ** (n + 1) for n in range(dim)])
+
+
+@pytest.mark.parametrize("order", ["descending", "ascending", "shuffled"])
+@pytest.mark.parametrize("nbar", [1e-6, 0.3, 1.0])
+def test_density_drops_exactly_the_lightest_columns(order, nbar):
+    dim = 120
+    w = _geometric(nbar, dim)
+    w[-3:] = [0.0, -1e-12, 0.0]  # rounding noise below zero is always dropped
+    perm = {
+        "descending": np.arange(dim),
+        "ascending": np.arange(dim)[::-1],  # the order eigh returns
+        "shuffled": np.random.default_rng(0).permutation(dim),
+    }[order]
+    re, im = np.random.default_rng(1).normal(size=(2, dim, dim))
+    v = np.linalg.qr(re + 1j * im)[0]
+    w, v = w[perm], v[:, perm]
+    state = FockDensity(w, v)
+    kept = np.array([k for k in range(dim) if w[k] in state.weights])
+    dropped = np.setdiff1d(np.arange(dim), kept)
+    # the kept columns in their input order, each with its own weight
+    assert np.array_equal(state.weights, w[kept])
+    assert np.array_equal(state.vectors, v[:, kept])
+    # the dropped ones are the lightest, as many as fit in DROPPED_WEIGHT
+    assert w[dropped].max() <= w[kept].min()
+    assert w[dropped][w[dropped] > 0.0].sum() <= DROPPED_WEIGHT
+    assert w[dropped][w[dropped] > 0.0].sum() + w[kept].min() > DROPPED_WEIGHT
+    if order == "descending":  # the rank a thermal spectrum keeps is a prefix
+        assert np.array_equal(kept, np.arange(kept.size))
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.1], ids=["nan", "skewed"])
+def test_density_still_checks_every_kept_column(bad):
+    w = np.append(_geometric(0.3, 40), 0.0)
+    v = np.eye(41)
+    v[0, 30] = bad  # level 30 has weight ~2e-20, far above DROPPED_WEIGHT
+    with pytest.raises(ValueError, match="orthonormal"):
+        FockDensity(w, v)
+
+
+def _full_rank_fidelity(args, dim):
+    # every column of phase * S with its geometric weight, none dropped
+    x = []
+    for r, nbar, theta in args:
+        v = np.exp(-1j * theta * np.arange(dim))[:, None] * squeeze_matrix(r, dim)
+        x.append((np.sqrt(_geometric(nbar, dim)), v))
+    (s1, v1), (s2, v2) = x
+    return float(np.linalg.svd(s1[:, None] * (v1.conj().T @ v2) * s2, compute_uv=False).sum())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dropped_columns_lower_the_fidelity_by_at_most_twice_their_root(seed):
+    # F(p, s) - F(p_k, s_k) lies in [0, sqrt(d_p) + sqrt(d_s)], up to rounding
+    rng = np.random.default_rng(seed)
+    for nbar_pair in ((0.0, 1e-6), (1e-6, 1.0), (1.0, 0.0), (1.0, 1.0), None, None):
+        nbars = nbar_pair or rng.uniform(0.0, 1.0, size=2)
+        args = [
+            (float(rng.uniform(-R_MAX, R_MAX)), float(nbar), float(rng.uniform(0.0, math.pi)))
+            for nbar in nbars
+        ]
+        cut = uhlmann_fock(*(squeezed_thermal(*a) for a in args))
+        gap = _full_rank_fidelity(args, DEFAULT_DIM) - cut
+        assert -1e-15 <= gap <= 2.0 * math.sqrt(DROPPED_WEIGHT)
 
 
 @pytest.mark.parametrize("r", [-0.7, 0.05, 0.4, 0.7])
