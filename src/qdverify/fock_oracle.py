@@ -1,17 +1,18 @@
 """Truncated number-basis oracle for the Gaussian closed forms.
 
 States live on the first ``dim`` Fock levels, built from the standard
-ladder operators: squeeze unitaries come from matrix exponentials of
-their generators, thermal states from the geometric photon
-distribution.  Each state is held as the spectrum its constructor
-already knows, rho = V diag(w) V^H, so no state is ever formed as a dense
-matrix or diagonalised, and every fidelity is a trace norm read from the
-two spectra.  A spectrum keeps only the rank it needs: its lightest
-columns, of total weight at most ``DROPPED_WEIGHT`` = 1e-26, are dropped,
-which lowers a fidelity by at most 2e-13 and leaves a squeezed thermal
-state at dim 120 with 20 to 87 columns for nbar between 0.05 and 1.
-Nothing here assumes any Gaussian identity, which is the point: agreement
-with :mod:`qdverify.gaussian` validates those identities independently.
+ladder operators: squeeze unitaries come from an eigenbasis of their
+generator, computed once per ``dim`` and exact to about 1e-14, thermal
+states from the geometric photon distribution.  Each state is held as the
+spectrum its constructor already knows, rho = V diag(w) V^H, so no state
+is ever formed as a dense matrix or diagonalised, and every fidelity is a
+trace norm read from the two spectra.  A spectrum keeps only the rank it
+needs: its lightest columns, of total weight at most ``DROPPED_WEIGHT`` =
+1e-26, are dropped, which lowers a fidelity by at most 2e-13 and leaves a
+squeezed thermal state at dim 120 with 20 to 87 columns for nbar between
+0.05 and 1.  Nothing here assumes any Gaussian identity, which is the
+point: agreement with :mod:`qdverify.gaussian` validates those identities
+independently.
 
 Truncation is treated as a hard precondition, not a degradation: state
 constructors raise when the retained trace falls below 1 - 1e-6, or,
@@ -23,6 +24,7 @@ with up to one thermal photon.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,22 +142,49 @@ def thermal_fock(nbar: float, dim: int = DEFAULT_DIM) -> FockDensity:
     return FockDensity(_thermal_weights(nbar, dim), np.eye(dim))
 
 
+@functools.lru_cache(maxsize=2)
+def _squeeze_basis(dim: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    # Per parity block: the eigenvalues and orthogonal eigenvectors of the real
+    # symmetric tridiagonal T whose off-diagonal is half that block's slice of
+    # the band, and the signs (-1)**floor((j - k) / 2); all read-only.  T has a
+    # zero diagonal, so its spectrum is symmetric about 0, and is made exactly
+    # so: eigh's rounding asymmetry, up to 4e-13 at dim 1000, would otherwise
+    # leak cosine terms onto odd j - k and sine terms onto even.
+    root = np.sqrt(np.arange(1.0, dim))  # the band of destroy(dim)
+    band = root[:-1] * root[1:]  # the bands of a^2 and a^dag^2, rounded as a @ a rounds
+    basis = []
+    for parity in (0, 1):
+        off = 0.5 * band[parity::2]
+        lam, q = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
+        lam = 0.5 * (lam - lam[::-1])  # ascending, so lam[::-1] pairs lam with -lam
+        k = np.arange(lam.size)
+        sign = 1.0 - 2.0 * (np.subtract.outer(k, k) // 2 % 2)
+        for arr in (lam, q, sign):
+            arr.setflags(write=False)
+        basis.append((lam, q, sign))
+    return tuple(basis)
+
+
 def squeeze_matrix(r: float, dim: int) -> np.ndarray:
     """Squeeze unitary scaling the x1 variance of the vacuum by e**(2r).
 
     The generator moves the photon number in steps of two, so it is block
-    diagonal in the even and odd levels, and each block is exponentiated
-    on its own (two half-size exponentials cost about a third of one).
+    diagonal in the even and odd levels.  Each block is r K, with K real,
+    antisymmetric and tridiagonal, so K = D (-i T) D^H for D = diag(i**j)
+    and T real symmetric with a zero diagonal.  With T = Q diag(lam) Q^T,
+    computed once per ``dim``, exp(r K) = D Q exp(-i r lam) Q^T D^H; as the
+    spectrum of T is symmetric about 0, its cosine terms land only where
+    j - k is even and its sine terms only where it is odd, so entry (j, k)
+    is (-1)**floor((j - k) / 2) (Q diag(cos r lam + sin r lam) Q^T)[j, k]:
+    one real product per block.  Against a 40-digit exponential at dim 120
+    the entries are within 6e-15 for r = 0.3 and 1.1 (a parity-split
+    ``scipy.linalg.expm``: 1.7e-13), and S S^T lies within 1e-14 of the
+    identity up to dim 1000 (expm: 1e-11).
     """
     _check_args(dim, r=r)
-    from scipy.linalg import expm
-
-    root = np.sqrt(np.arange(1.0, dim))  # the band of destroy(dim)
-    band = root[:-1] * root[1:]  # the bands of a^2 and a^dag^2, rounded as a @ a rounds
-    gen = 0.5 * r * (np.diag(band, -2) - np.diag(band, 2))
     s = np.zeros((dim, dim))
-    for parity in (slice(0, None, 2), slice(1, None, 2)):
-        s[parity, parity] = expm(gen[parity, parity])
+    for parity, (lam, q, sign) in enumerate(_squeeze_basis(dim)):
+        s[parity::2, parity::2] = sign * ((q * (np.cos(r * lam) + np.sin(r * lam))) @ q.T)
     return s
 
 

@@ -445,6 +445,15 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+    # nor does the Fock oracle: -X importtime lists every module the run loads
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qdverify.cli", *SMALL_ORACLE_ARGV],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0 and json.loads(run.stdout)["passed"] is True
+    loaded = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()]
+    assert "qdverify.fock_oracle" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
 
 def test_argparse_exits_map_to_codes(capsys):

@@ -8,6 +8,7 @@ from qdverify.fock_oracle import (
     DEFAULT_DIM,
     DROPPED_WEIGHT,
     FockDensity,
+    _squeeze_basis,
     coherent_fock,
     destroy,
     quadrature_moments_fock,
@@ -160,6 +161,7 @@ def test_uhlmann_reuses_each_states_decomposition(monkeypatch):
 
 
 def test_constructors_decompose_nothing(monkeypatch):
+    squeeze_matrix(0.0, DEFAULT_DIM)  # the squeeze basis is decomposed once per dim
     calls = _count_calls(monkeypatch, "eigh", "eigvalsh", "svd")
     coherent_fock(0.5 + 0.3j)
     thermal_fock(0.3)
@@ -258,10 +260,12 @@ def test_parity_split_squeeze_matches_full_exponential(r):
     assert np.max(np.abs(s @ s.T - np.eye(dim))) < 1e-13
 
 
-@pytest.mark.parametrize("dim", [2, 3, 8, 61, 120])
-@pytest.mark.parametrize("r", [-0.9, -0.2, 0.0, 0.3, 1.1])
-def test_banded_squeeze_generator_keeps_every_bit(r, dim):
-    # the dense generator from two ladder-operator products, split by parity
+SQUEEZE_RS = [-0.9, -0.2, 0.0, 0.3, 1.1]
+SQUEEZE_DIMS = [2, 3, 8, 61, 120]
+
+
+def _split_expm(r, dim):
+    # the dense generator from two ladder-operator products, exponentiated per parity
     from scipy.linalg import expm
 
     a = destroy(dim)
@@ -269,7 +273,63 @@ def test_banded_squeeze_generator_keeps_every_bit(r, dim):
     dense = np.zeros((dim, dim))
     for parity in (slice(0, None, 2), slice(1, None, 2)):
         dense[parity, parity] = expm(gen[parity, parity])
-    assert np.array_equal(squeeze_matrix(r, dim), dense)
+    return dense
+
+
+@pytest.mark.parametrize("dim", SQUEEZE_DIMS)
+@pytest.mark.parametrize("r", SQUEEZE_RS)
+def test_banded_squeeze_generator_keeps_every_bit(monkeypatch, r, dim):
+    # each parity block of the dense generator is D (-i T) D^H with D = diag(i**j),
+    # so its entries' magnitudes are the T whose eigenbasis builds the unitary
+    seen, eigh = [], np.linalg.eigh
+
+    def recorded(t):
+        seen.append(t.copy())
+        return eigh(t)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    _squeeze_basis.cache_clear()
+    s = squeeze_matrix(r, dim)
+    a = destroy(dim)
+    gen = 0.5 * (a.T @ a.T - a @ a)
+    assert len(seen) == 2
+    for parity, t in zip((slice(0, None, 2), slice(1, None, 2)), seen):
+        assert np.array_equal(t, np.abs(gen[parity, parity]))
+    # up to 2.4e-13 apart at dim 120, which is expm's own error (1.7e-13 against
+    # a 40-digit exponential, where S is within 6e-15)
+    assert np.max(np.abs(s - _split_expm(r, dim))) < 5e-13
+
+
+@pytest.mark.parametrize("dim", SQUEEZE_DIMS)
+@pytest.mark.parametrize("r", SQUEEZE_RS)
+def test_squeeze_matrix_obeys_the_group_law(r, dim):
+    # the split expm misses this by up to 2.2e-13 at dim 120
+    for b in (0.4, -0.7):
+        s = squeeze_matrix(r, dim) @ squeeze_matrix(b, dim)
+        assert np.max(np.abs(s - squeeze_matrix(r + b, dim))) < 5e-14
+
+
+@pytest.mark.parametrize(
+    "r, dim", [(r, dim) for r in SQUEEZE_RS for dim in SQUEEZE_DIMS] + [(-0.9, 1000), (1.1, 1000)]
+)
+def test_squeeze_matrix_inverse_is_its_transpose(r, dim):
+    # S(-r) = S(r)^T = S(r)^-1; the split expm misses the last by 4.8e-13 at dim
+    # 120 and by 1.1e-11 at dim 1000
+    s = squeeze_matrix(r, dim)
+    assert np.max(np.abs(squeeze_matrix(-r, dim) - s.T)) < 5e-14
+    assert np.max(np.abs(s @ s.T - np.eye(dim))) < 1e-13
+
+
+def test_squeeze_basis_is_decomposed_once_per_dim(monkeypatch):
+    _squeeze_basis.cache_clear()
+    calls = _count_calls(monkeypatch, "eigh", "eigvalsh", "svd")
+    squeeze_matrix(0.3, 50)
+    assert calls == ["eigh", "eigh"]  # one per parity block
+    squeeze_matrix(-0.6, 50)
+    squeezed_thermal(0.2, 0.1, 0.4, 50)
+    assert calls == ["eigh", "eigh"]
+    # the cache hands the same arrays to every caller, so none may be written
+    assert [arr.flags.writeable for block in _squeeze_basis(50) for arr in block] == [False] * 6
 
 
 def _full_rank_density(dim, seed):
