@@ -29,6 +29,7 @@ from .criterion import (
     FidelityPair,
     OverlapPair,
     Verdict,
+    _bound,
     _refine,
     qd_criterion,
     total_nonorthogonality,
@@ -181,16 +182,15 @@ BENCHMARK_RECORDS: tuple[StorageRecord, ...] = (
 
 def _mode_inputs(rec: StorageRecord, mode: str) -> tuple[float, tuple[float, float]]:
     """Per-mode shared fidelity and the variance pair behind gamma_prime."""
-    x_in, y_in = rec.input_state.linear_pair
     x_out, y_out = rec.output_state.linear_pair
     if mode == AS_PUBLISHED:
-        fid = 2.0 / (1.0 + math.sqrt(x_in * y_in))
-        return fid, (x_out, y_out)
-    if mode == PURE_TARGET:
-        fid = 2.0 / (1.0 + math.sqrt(x_out * y_out))
+        (x, y), target = rec.input_state.linear_pair, (x_out, y_out)
+    elif mode == PURE_TARGET:
         r = optimal_target_squeezing(x_out, y_out)
-        return fid, (math.exp(2.0 * r), math.exp(-2.0 * r))
-    raise ValueError(f"unknown mode {mode!r}")
+        (x, y), target = (x_out, y_out), (math.exp(2.0 * r), math.exp(-2.0 * r))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return 2.0 / (1.0 + math.sqrt(x * y)), target
 
 
 def _curves(input_pair, target_pair, thetas):
@@ -198,7 +198,7 @@ def _curves(input_pair, target_pair, thetas):
     g_sq = input_overlap_sq(*input_pair, thetas)
     gp_sq = target_overlap_sq(*target_pair, thetas)
     nonorth = np.maximum((1.0 - gp_sq) * g_sq, 0.0)
-    return g_sq, gp_sq, nonorth, 0.5 * (1.0 + np.sqrt(1.0 - nonorth))
+    return g_sq, gp_sq, nonorth, _bound(nonorth, 0.5, np.sqrt)
 
 
 def squeezed_storage_analysis(

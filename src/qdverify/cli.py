@@ -47,7 +47,7 @@ from .criterion import (
     qd_criterion_numeric,
     total_nonorthogonality,
 )
-from .fock_oracle import coherent_fock, squeezed_thermal, uhlmann_fock
+from .fock_oracle import DEFAULT_DIM, coherent_fock, squeezed_thermal, uhlmann_fock
 from .gaussian import (
     CovMat2,
     GaussianState,
@@ -179,7 +179,7 @@ def _cmd_boundary(args: argparse.Namespace) -> tuple[dict, dict, int]:
         "points": int(args.points),
     }
     report["nonorthogonality"] = float(nonorth)
-    report["symmetric_point"] = 0.5 * (1.0 + math.sqrt(1.0 - nonorth))
+    report["symmetric_point"] = classical_fidelity_bound(nonorth, 0.5)
     report["curve"] = {"a": curve[:, 0].tolist(), "b": curve[:, 1].tolist()}
     return report, report["curve"], 0
 
@@ -366,7 +366,7 @@ def _fock_suite(args: argparse.Namespace, tol: float) -> dict:
 
 
 def _coherent_suite(tol: float) -> dict:
-    exact = math.exp(-2.0)
+    exact = coherent_task_overlaps(CoherentTask(1.0, 1.0)).gamma
     vac = CovMat2.diagonal(1.0, 1.0)
     closed = uhlmann_fidelity_gaussian(
         GaussianState(vac, 1.0, 0.0), GaussianState(vac, -1.0, 0.0)
@@ -475,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--resolution", type=int, default=2048)
     orc.add_argument("--random-schemes", type=int, default=16)
     orc.add_argument("--pairs", type=int, default=10, help="random state pairs")
-    orc.add_argument("--dim", type=int, default=120)
+    orc.add_argument("--dim", type=int, default=DEFAULT_DIM)
     orc.add_argument("--seed", type=int, default=7)
     orc.add_argument(
         "--tolerance", type=float, default=None,

@@ -221,9 +221,16 @@ def total_nonorthogonality(t: OverlapPair) -> float:
     return (1.0 - t.gamma_prime**2) * t.gamma**2
 
 
-def _bound(B: float, p_plus: float) -> float:
+def _bound(B, p_plus, sqrt=math.sqrt):
+    # F_c(p_plus), scalar or, with np.sqrt, array.
     bias = 2.0 * p_plus - 1.0
-    return 0.5 * (1.0 + math.sqrt(B * bias * bias + 1.0 - B))
+    return 0.5 * (1.0 + sqrt(B * bias * bias + 1.0 - B))
+
+
+def _chord_bound(B, room, sqrt=math.sqrt):
+    # (1 + sqrt((1 - B) * room / B)) / 2 at room = B - slope**2 >= 0 and B > 0. Dividing
+    # first makes a flat chord (room == B) give _bound(B, 0.5) to the last bit.
+    return 0.5 * (1.0 + sqrt((1.0 - B) * (room / B)))
 
 
 def classical_fidelity_bound(B: float, p_plus: float) -> float:
@@ -324,14 +331,14 @@ def qd_criterion(f: FidelityPair, B: float) -> Verdict:
     """
     _check_unit("B", B)
     a, b, swapped = _ordered(f)
-    lhs = 0.5 * (a + b)
+    lhs = f.mean
     slope = b - a
     degenerate = _degeneracy(B, slope)
     if slope * slope >= B:  # the formula turns complex; this includes B == 0
         return Verdict(
             False, lhs, math.nan, CLOSED_FORM, swapped=swapped, degenerate=degenerate
         )
-    rhs = 0.5 * (1.0 + math.sqrt((1.0 - B) * (B - slope * slope) / B))
+    rhs = _chord_bound(B, B - slope * slope)
     return Verdict(
         degenerate is None and lhs > rhs, lhs, rhs, CLOSED_FORM,
         marginal=abs(lhs - rhs) <= BOUNDARY_TOL, swapped=swapped, degenerate=degenerate,
@@ -348,10 +355,10 @@ def qd_criterion_numeric(f: FidelityPair, B: float) -> Verdict:
     """
     _check_unit("B", B)
     a, b, swapped = _ordered(f)
-    lhs = 0.5 * (a + b)
+    lhs = f.mean
     slope = b - a
     ps = np.linspace(0.0, 1.0, _NUMERIC_GRID)
-    gaps = a + slope * ps - 0.5 * (1.0 + np.sqrt(B * (2.0 * ps - 1.0) ** 2 + 1.0 - B))
+    gaps = a + slope * ps - _bound(B, ps, np.sqrt)
     k = int(np.argmax(gaps))
     lo = ps[max(k - 1, 0)]
     hi = ps[min(k + 1, _NUMERIC_GRID - 1)]
@@ -370,8 +377,8 @@ def boundary_curve(B: float, n_points: int) -> np.ndarray:
 
     The locus (a + b) / 2 = rhs is parameterised by the chord slope
     s = b - a running over [-sqrt(B), sqrt(B)]; the symmetric point
-    a = b = (1 + sqrt(1 - B)) / 2 is always included exactly.  Returns an
-    (n_points, 2) array of (a, b) rows clipped to the unit square.
+    a = b = classical_fidelity_bound(B, 0.5) is always a row, to the last
+    bit.  Returns an (n_points, 2) array of (a, b) rows clipped to [0, 1].
     """
     B = float(B)
     if not (0.0 < B < 1.0):
@@ -382,7 +389,7 @@ def boundary_curve(B: float, n_points: int) -> np.ndarray:
     root = math.sqrt(B)
     s = np.linspace(-root, root, n_points)
     s[int(np.argmin(np.abs(s)))] = 0.0
-    mid = 0.5 * (1.0 + np.sqrt((1.0 - B) * np.clip(B - s * s, 0.0, None) / B))
+    mid = _chord_bound(B, np.clip(B - s * s, 0.0, None), np.sqrt)
     a = np.clip(mid - 0.5 * s, 0.0, 1.0)
     b = np.clip(mid + 0.5 * s, 0.0, 1.0)
     return np.column_stack([a, b])

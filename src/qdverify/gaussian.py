@@ -7,12 +7,12 @@ levels quoted in dB are power ratios, variance = 10**(dB / 10), so -3 dB
 means roughly half the shot noise.  A squeezed vacuum with parameter r
 has covariance diag(e**(2r), e**(-2r)); positive r stretches x1.
 
-Everything here is closed-form: fidelities between arbitrary single-mode
-Gaussian states, projections onto pure squeezed-vacuum targets, and the
-overlap curves of rotated state pairs that the storage analysis in
-:mod:`qdverify.applications` scans over.  The matching truncated
-number-basis computations live in :mod:`qdverify.fock_oracle` and are
-used in the test suite to validate each formula.
+Everything here is closed-form, with the 2x2 algebra in scalar math:
+fidelities between arbitrary single-mode Gaussian states, projections
+onto pure squeezed-vacuum targets, and the overlap curves of rotated
+state pairs that :mod:`qdverify.applications` scans over.  The matching
+truncated number-basis computations live in :mod:`qdverify.fock_oracle`
+and validate each formula in the test suite.
 """
 
 from __future__ import annotations
@@ -61,9 +61,6 @@ class CovMat2:
     @property
     def det(self) -> float:
         return self.c11 * self.c22 - self.c12 * self.c12
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.c11, self.c12], [self.c12, self.c22]])
 
     @classmethod
     def diagonal(cls, v1: float, v2: float) -> "CovMat2":
@@ -123,26 +120,25 @@ def rotate_cov(c: CovMat2, theta: float) -> CovMat2:
 def uhlmann_fidelity_gaussian(g1: GaussianState, g2: GaussianState) -> float:
     """Unsquared fidelity between two single-mode Gaussian states.
 
-    Evaluates sqrt(2 / (sqrt(D + d) - sqrt(d))) * exp(-q) with
-    D = det(C1 + C2), d = (det C1 - 1)(det C2 - 1), and q the quadratic
-    form of the mean difference with matrix (C1 + C2)^-1.  The difference
-    of square roots is computed as D / (sqrt(D + d) + sqrt(d)) so the
-    result stays accurate when d is large or vanishing.
+    Evaluates sqrt(2 / (sqrt(D + d) - sqrt(d))) * exp(-q) in scalar math,
+    with D = det(C1 + C2), d = (det C1 - 1)(det C2 - 1), and q the quadratic
+    form of the mean difference under the explicit inverse of C1 + C2.  The
+    difference of square roots is computed as D / (sqrt(D + d) + sqrt(d))
+    so the result stays accurate when d is large or vanishing.  C1 + C2 is
+    a :class:`CovMat2`, so a sum with an overflowing entry raises ValueError.
     """
-    c1 = g1.cov.as_array()
-    c2 = g2.cov.as_array()
-    total = c1 + c2
-    big = float(np.linalg.det(total))
-    small = (g1.cov.det - 1.0) * (g2.cov.det - 1.0)
+    c1, c2 = g1.cov, g2.cov
+    total = CovMat2(c1.c11 + c2.c11, c1.c12 + c2.c12, c1.c22 + c2.c22)
+    big = total.det
     # Construction already enforces det >= 1 - DET_TOL; anything mildly
     # negative here is pure roundoff.
-    small = max(small, 0.0)
+    small = max((c1.det - 1.0) * (c2.det - 1.0), 0.0)
     fid = math.sqrt(2.0 * (math.sqrt(big + small) + math.sqrt(small)) / big)
     d1 = g1.mean1 - g2.mean1
     d2 = g1.mean2 - g2.mean2
     if d1 != 0.0 or d2 != 0.0:
-        diff = np.array([d1, d2])
-        fid *= math.exp(-float(diff @ np.linalg.solve(total, diff)))
+        quad = total.c22 * d1 * d1 - 2.0 * total.c12 * d1 * d2 + total.c11 * d2 * d2
+        fid *= math.exp(-quad / big)
     return min(fid, 1.0)
 
 

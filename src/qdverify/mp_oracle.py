@@ -198,10 +198,6 @@ def _pair_at(coeffs: tuple, phi: float) -> float:
     return _pair_value(coeffs, math.cos(phi), math.sin(phi), math.cos(back), math.sin(back))
 
 
-def _projective_value(ep, gamma, gamma_prime, phi):
-    return _pair_at(_payoff_coeffs(ep, gamma, gamma_prime), phi)
-
-
 @functools.lru_cache(maxsize=2)
 def _grid(resolution: int) -> tuple[np.ndarray, ...]:
     # The scan angles over [0, pi) and the cosine and sine at each angle and its

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdverify.applications import (
     AS_PUBLISHED,
@@ -185,6 +187,26 @@ def test_benchmark_table_frozen(mode, lhs, rhs_min):
         assert rep.lhs == pytest.approx(want_lhs, abs=1e-12)
         assert rep.rhs_min == pytest.approx(want_rhs, abs=1e-9)
         assert not rep.verdict.is_quantum_domain
+
+
+# A squeezing record whose antisqueezing at least cancels its squeezing in dB,
+# so that its variance product is at least 1.
+SQUEEZING = st.builds(
+    lambda sq, excess: SqueezingRecord(sq, excess - sq),
+    st.floats(-10.0, 0.0), st.floats(0.0, 15.0),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(SQUEEZING, SQUEEZING)
+def test_storage_verdict_rhs_is_the_reported_floor(state_in, state_out):
+    rec = StorageRecord("session", state_in, state_out)
+    for mode in (AS_PUBLISHED, PURE_TARGET):
+        rep = squeezed_storage_analysis(rec, mode=mode)
+        if rep.verdict.degenerate is None:
+            assert rep.verdict.rhs == rep.rhs_min
+        else:  # B is zero at the floor, so the verdict is degenerate with no rhs
+            assert math.isnan(rep.verdict.rhs) and rep.rhs_min == 1.0
 
 
 def test_storage_validation():

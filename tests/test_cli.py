@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdverify
+from qdverify import cli
 from qdverify.cli import DIM_RANGE, MAX_SAMPLES, main
+from qdverify.criterion import OverlapPair, classical_fidelity_bound
 
 RECORD = {
     "label": "bench",
@@ -120,6 +122,23 @@ def test_boundary_report_and_csv(tmp_path, capsys):
     lines = raw.decode().strip().split("\n")
     assert lines[0] == "a,b"
     assert len(lines) == 12
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.integers(2, 60),
+)
+def test_symmetric_point_is_the_flat_chord_row_of_the_curve(nonorth, points):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["boundary", f"--B={nonorth!r}", f"--points={points}"]) == 0
+    report = json.loads(out.getvalue())
+    curve = report["curve"]
+    # Below B of about 1e-32 every row rounds to a == b; the flat chord's row
+    # is the highest of them.
+    flat = max(a for a, b in zip(curve["a"], curve["b"]) if a == b)
+    assert flat == classical_fidelity_bound(nonorth, 0.5) == report["symmetric_point"]
 
 
 def test_coherent_command(capsys):
@@ -334,6 +353,24 @@ def test_zero_tolerance_is_accepted(capsys, base):
     code, cap = _run(capsys, [*base, "--tolerance", "0"])
     assert code in (0, 3)
     assert json.loads(cap.out)["inputs"]["tolerance"] == 0.0
+
+
+def test_coherent_suite_checks_the_overlap_the_verdict_uses(capsys, monkeypatch):
+    exact = cli.coherent_task_overlaps
+
+    def off(task):
+        pair = exact(task)
+        return OverlapPair(pair.gamma + 1e-3, pair.gamma_prime)
+
+    monkeypatch.setattr(cli, "coherent_task_overlaps", off)
+    code, cap = _run(capsys, SMALL_ORACLE_ARGV)
+    assert code == 3
+    passed = {s["name"]: s["passed"] for s in json.loads(cap.out)["suites"]}
+    assert passed == {
+        "closed_form_vs_scheme_search": True,
+        "gaussian_vs_fock": True,
+        "coherent_overlap": False,
+    }
 
 
 def test_oracle_check_rejects_negative_random_schemes(capsys):

@@ -28,7 +28,7 @@ from qdverify.criterion import (
     total_nonorthogonality,
 )
 from qdverify.cli import AGREEMENT_TOL
-from qdverify.mp_oracle import _projective_value, ensemble_params
+from qdverify.mp_oracle import _pair_at, _payoff_coeffs, ensemble_params
 
 # Values computed independently from the defining formulas (exact binomial
 # of square roots, long-double grid sweeps), frozen here.
@@ -344,8 +344,8 @@ def test_minimize_bounded_matches_scipy_on_scheme_search():
     rng = np.random.default_rng(13)
     for _ in range(100):
         gamma, gamma_prime, p_plus = rng.uniform(0.05, 0.95, 3)
-        ep = ensemble_params(gamma, p_plus)
-        func = lambda phi: -_projective_value(ep, gamma, gamma_prime, phi)  # noqa: E731
+        coeffs = _payoff_coeffs(ensemble_params(gamma, p_plus), gamma, gamma_prime)
+        func = lambda phi: -_pair_at(coeffs, phi)  # noqa: E731
         centre = rng.uniform(0.0, math.pi)
         step = math.pi / int(rng.choice([16, 512, 4096]))
         lo, hi = centre - step, centre + step

@@ -91,6 +91,50 @@ def test_uhlmann_displaced_vacua():
     assert f == pytest.approx(math.exp(-0.5))
 
 
+def _linear_algebra_fidelity(g1, g2):
+    # The same closed form through numpy's 2x2 det and solve, a route that
+    # shares none of the scalar algebra under test.
+    total = np.array(
+        [[g1.cov.c11 + g2.cov.c11, g1.cov.c12 + g2.cov.c12],
+         [g1.cov.c12 + g2.cov.c12, g1.cov.c22 + g2.cov.c22]]
+    )
+    big = float(np.linalg.det(total))
+    small = max((g1.cov.det - 1.0) * (g2.cov.det - 1.0), 0.0)
+    fid = math.sqrt(2.0 * (math.sqrt(big + small) + math.sqrt(small)) / big)
+    diff = np.array([g1.mean1 - g2.mean1, g1.mean2 - g2.mean2])
+    fid *= math.exp(-float(diff @ np.linalg.solve(total, diff)))
+    return min(fid, 1.0)
+
+
+def test_uhlmann_matches_the_linear_algebra_route():
+    rng = np.random.default_rng(40)
+    for i in range(400):
+        means = rng.normal(size=4).tolist() if i % 2 else [0.0] * 4
+        g1 = GaussianState(_random_physical_cov(rng), *means[:2])
+        g2 = GaussianState(_random_physical_cov(rng), *means[2:])
+        want = _linear_algebra_fidelity(g1, g2)
+        assert abs(uhlmann_fidelity_gaussian(g1, g2) - want) <= 1e-15
+
+
+def test_uhlmann_calls_no_linear_algebra(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in np.linalg.__all__:
+        if name != "LinAlgError":
+            monkeypatch.setattr(np.linalg, name, forbidden)
+    rng = np.random.default_rng(41)
+    g1 = GaussianState(_random_physical_cov(rng), 0.3, -0.2)
+    g2 = GaussianState(_random_physical_cov(rng), -0.1, 0.4)
+    assert 0.0 < uhlmann_fidelity_gaussian(g1, g2) < 1.0
+
+
+def test_uhlmann_rejects_a_covariance_sum_that_overflows():
+    wide = GaussianState(CovMat2.diagonal(1e308, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        uhlmann_fidelity_gaussian(wide, wide)
+
+
 def test_uhlmann_symmetric_in_arguments():
     rng = np.random.default_rng(12)
     for _ in range(20):

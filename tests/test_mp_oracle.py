@@ -17,9 +17,9 @@ from qdverify.mp_oracle import (
     COMPLETENESS_TOL,
     CQScheme,
     _grid,
+    _pair_at,
     _pair_value,
     _payoff_coeffs,
-    _projective_value,
     angle_payoff_sq,
     ensemble_params,
     optimize_scheme,
@@ -313,9 +313,10 @@ def _numpy_pair_value(ep, gamma, gamma_prime, phi):
 def test_pair_value_keeps_the_bits_of_the_numpy_route(gamma, gamma_prime, p_plus):
     ep = ensemble_params(gamma, p_plus)
     phis, *trig = _grid(2048)
-    grid = _pair_value(_payoff_coeffs(ep, gamma, gamma_prime), *trig, sqrt=np.sqrt)
+    coeffs = _payoff_coeffs(ep, gamma, gamma_prime)
+    grid = _pair_value(coeffs, *trig, sqrt=np.sqrt)
     assert np.array_equal(grid, _numpy_pair_value(ep, gamma, gamma_prime, phis))
-    scalar = np.array([_projective_value(ep, gamma, gamma_prime, phi) for phi in phis.tolist()])
+    scalar = np.array([_pair_at(coeffs, phi) for phi in phis.tolist()])
     numpy_scalar = [_numpy_pair_value(ep, gamma, gamma_prime, phi) for phi in phis]
     assert np.array_equal(scalar, numpy_scalar)
     # A scalar x ** 2 goes through libm pow, an array one through x * x, and

@@ -25,6 +25,7 @@ REMOVED = [
     ("qdverify.quadrature_bounds", "coherent_bound"),
     ("qdverify.criterion", "PriorEnsemble"),
     ("qdverify.gaussian", "CovMat2.from_array"),
+    ("qdverify.gaussian", "CovMat2.as_array"),
     ("qdverify.criterion", "OverlapPair.useful"),
     ("qdverify.criterion", "FidelityPair.slope"),
     ("qdverify.mp_oracle", "EnsembleParams.axis_cos"),
