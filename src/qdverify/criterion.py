@@ -23,9 +23,11 @@ exactly when the straight chord from (0, a) to (1, b) rises above the
 tangent line of matching slope, which requires the chord to be no steeper
 than the bound ever gets.  Working that out gives the closed-form test
 implemented by :func:`qd_criterion`; :func:`qd_criterion_numeric`
-evaluates the same geometry by direct maximisation over the prior and is
-used as a cross-check.  The criterion is sufficient only: failing it
-proves nothing about the channel.
+evaluates the same geometry by direct maximisation over the prior (the
+gap is concave, so one bounded Brent search plus the endpoint p_plus = 1
+finds its peak) and is used as a cross-check.  Neither verdict makes a
+numpy call.  The criterion is sufficient only: failing it proves nothing
+about the channel.
 """
 
 from __future__ import annotations
@@ -69,8 +71,6 @@ _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 _MAXFUN = 500
 _XATOL = 1e-12
-#: Points of the coarse prior grid that seeds the numeric sup.
-_NUMERIC_GRID = 256
 
 
 def _sign(x: float) -> float:
@@ -348,23 +348,20 @@ def qd_criterion(f: FidelityPair, B: float) -> Verdict:
 def qd_criterion_numeric(f: FidelityPair, B: float) -> Verdict:
     """Same test evaluated by direct maximisation over the prior.
 
-    Maximises ``chord(p) - F_c(p)`` over p_plus in [0, 1] with a coarse
-    grid followed by bounded scalar refinement; the gap is concave so the
-    refinement is reliable.  Must agree with :func:`qd_criterion` away
-    from the boundary; kept as an independent evaluation path.
+    Maximises ``chord(p) - F_c(p)`` over p_plus in [0, 1] by one bounded
+    Brent search, which the concave gap makes reliable.  Brent never
+    evaluates its bracket ends, so p_plus = 1 is checked too: the gap peaks
+    there for B = 0 and for slopes beyond the bound's derivative range, and
+    never at p_plus = 0 alone since a <= b once ordered.  Must agree with
+    :func:`qd_criterion` away from the boundary; kept as an independent
+    evaluation path.
     """
     _check_unit("B", B)
     a, b, swapped = _ordered(f)
     lhs = f.mean
     slope = b - a
-    ps = np.linspace(0.0, 1.0, _NUMERIC_GRID)
-    gaps = a + slope * ps - _bound(B, ps, np.sqrt)
-    k = int(np.argmax(gaps))
-    lo = ps[max(k - 1, 0)]
-    hi = ps[min(k + 1, _NUMERIC_GRID - 1)]
     neg_gap = lambda p: _bound(B, p) - (a + slope * p)  # noqa: E731
-    _, neg_sup = _refine(neg_gap, lo, hi, ps[k], -float(gaps[k]))
-    sup = -float(neg_sup)
+    sup = -min(neg_gap(1.0), _minimize_bounded(neg_gap, 0.0, 1.0)[1])
     return Verdict(
         sup > 0.0, lhs, lhs - sup, NUMERIC_SUP,
         marginal=abs(sup) <= BOUNDARY_TOL, swapped=swapped,

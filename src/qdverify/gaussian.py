@@ -53,6 +53,8 @@ class CovMat2:
                 raise ValueError(f"covariance entry {name} must be finite")
         if self.c11 <= 0.0 or self.c22 <= 0.0:
             raise ValueError("diagonal covariance entries must be positive")
+        if not math.isfinite(self.det):
+            raise ValueError(f"covariance determinant {self.det!r} is not finite")
         if self.det < 1.0 - DET_TOL:
             raise ValueError(
                 f"covariance determinant {self.det!r} is below the physical floor"

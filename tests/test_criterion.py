@@ -12,7 +12,9 @@ from qdverify.applications import (
     _curves,
     _mode_inputs,
 )
+import qdverify.criterion as criterion
 from qdverify.criterion import (
+    _DEGENERATE_SLOPE,
     CLOSED_FORM,
     NUMERIC_SUP,
     FidelityPair,
@@ -140,6 +142,11 @@ def test_chord_steeper_than_derivative_range_never_certifies():
     # lhs + 1 - b
     assert (n.lhs - n.rhs) == pytest.approx(0.99 - 1.0, abs=1e-9)
 
+    # slope == B exactly is still inside the derivative range: the tangent
+    # prior is exactly 1, so the pair is not degenerate
+    assert qd_criterion(FidelityPair(0.5, 0.75), 0.25).degenerate is None
+    assert tangency_prior(0.25, 0.25) == 1.0
+
 
 def test_swapped_pair_gives_same_benchmark():
     fwd = qd_criterion(FidelityPair(0.6, 0.9), 0.25)
@@ -154,6 +161,11 @@ def test_zero_nonorthogonality_is_degenerate():
     assert not v.is_quantum_domain
     assert math.isnan(v.rhs)
     assert v.degenerate
+    # the gap peaks at p_plus = 1 with a sup of exactly 0: a tie, not a pass
+    n = qd_criterion_numeric(FidelityPair(0.75, 1.0), 0.0)
+    assert n.lhs == n.rhs
+    assert not n.is_quantum_domain
+    assert n.marginal
 
 
 def test_steep_chord_is_degenerate():
@@ -164,12 +176,17 @@ def test_steep_chord_is_degenerate():
     assert v.degenerate
     # inclusive at slope**2 == B
     v = qd_criterion(FidelityPair(0.25, 0.75), 0.25)
-    assert v.degenerate
+    assert v.degenerate == _DEGENERATE_SLOPE
 
 
 def test_marginal_flag():
     on_the_line = qd_criterion(FidelityPair(RHS_FLAT_B025, RHS_FLAT_B025), 0.25)
     assert on_the_line.marginal
+    # an exact tie is classical: the mean must strictly beat the benchmark
+    tie = qd_criterion(FidelityPair(0.75, 0.75), 0.75)
+    assert tie.lhs == tie.rhs == 0.75
+    assert tie.is_quantum_domain is False
+    assert tie.marginal
     clear = qd_criterion(FidelityPair(0.95, 0.95), 0.25)
     assert not clear.marginal
 
@@ -202,6 +219,19 @@ def test_numeric_agrees_with_closed_form():
     assert checked > 200
 
 
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used by a scalar verdict")
+
+
+def test_scalar_verdicts_make_no_numpy_call(monkeypatch):
+    monkeypatch.setattr(criterion, "np", _NoNumpy())
+    for a, b, B in [(0.95, 0.95, 0.25), (0.6, 0.9, 0.25), (0.69, 0.99, 0.16),
+                    (0.2, 0.9, 0.25), (0.99, 0.99, 0.0), (0.9, 0.8, 1.0)]:
+        f = FidelityPair(a, b)
+        assert qd_criterion_numeric(f, B).degenerate == qd_criterion(f, B).degenerate
+
+
 def test_tangency_prior_example():
     p0 = tangency_prior(0.25, 0.2)
     assert p0 == pytest.approx(TANGENT_PRIOR_B025_S02)
@@ -210,6 +240,8 @@ def test_tangency_prior_example():
         classical_fidelity_bound(0.25, p0 + h) - classical_fidelity_bound(0.25, p0 - h)
     ) / (2.0 * h)
     assert slope == pytest.approx(0.2, abs=1e-6)
+    # at B = 1 the bound's kink sits at p_plus = 1/2 for every inner slope
+    assert tangency_prior(1.0, 0.5) == 0.5
 
 
 def test_tangency_prior_validation():
@@ -322,8 +354,10 @@ def test_minimize_bounded_matches_scipy_on_numeric_sup():
     for _ in range(200):
         a, b = sorted(rng.uniform(0.0, 1.0, 2))
         func = _gap_objective(a, b, rng.uniform(0.01, 1.0))
-        lo, hi = sorted(rng.uniform(0.0, 1.0, 2))
-        assert _same_bits(_minimize_bounded(func, lo, hi), _scipy_bounded(func, lo, hi))
+        for lo, hi in (sorted(rng.uniform(0.0, 1.0, 2)), (0.0, 1.0)):
+            assert _same_bits(
+                _minimize_bounded(func, lo, hi), _scipy_bounded(func, lo, hi)
+            )
 
 
 def test_minimize_bounded_matches_scipy_on_storage_scan():
@@ -406,6 +440,21 @@ def test_closed_form_and_numeric_sup_agree_away_from_the_boundary(a, b, B):
     margin = w.lhs - w.rhs if v.degenerate else v.lhs - v.rhs
     if abs(margin) > AGREEMENT_TOL:
         assert v.is_quantum_domain == w.is_quantum_domain
+
+
+_FINE_PRIORS = np.linspace(0.0, 1.0, 1025)
+
+
+@PROPERTY
+@given(a=unit, b=unit, B=unit)
+def test_numeric_sup_reaches_a_fine_grid(a, b, B):
+    # the concave gap's sup from one Brent search plus p_plus = 1 is never
+    # below its best value on a 1025-point grid; at B = 1 the bound has a
+    # kink at p_plus = 1/2 that Brent approaches only to ~1e-8
+    lo, hi = min(a, b), max(a, b)
+    v = qd_criterion_numeric(FidelityPair(a, b), B)
+    gaps = lo + (hi - lo) * _FINE_PRIORS - _bound(B, _FINE_PRIORS, np.sqrt)
+    assert v.lhs - v.rhs >= float(gaps.max()) - (1e-15 if B <= 1.0 - 1e-6 else 1e-8)
 
 
 @PROPERTY

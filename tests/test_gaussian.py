@@ -59,6 +59,10 @@ def test_covmat_validation():
         CovMat2(-1.0, 0.0, 2.0)
     with pytest.raises(ValueError):
         CovMat2(math.inf, 0.0, 1.0)
+    # finite entries whose determinant is not: inf, and inf - inf = nan
+    for entries in ((1e200, 0.0, 1e200), (1e200, 1e200, 1e200)):
+        with pytest.raises(ValueError, match="determinant .* not finite"):
+            CovMat2(*entries)
 
 
 def test_uhlmann_identical_states():
