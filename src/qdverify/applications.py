@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .criterion import (
     FidelityPair,
@@ -36,10 +35,13 @@ from .criterion import (
 )
 from .gaussian import (
     SqueezingRecord,
-    input_overlap_sq,
-    optimal_target_squeezing,
-    target_overlap_sq,
+    _input_overlap_sq,
+    _overlap_fits,
+    _target_overlap_sq,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AS_PUBLISHED",
@@ -144,6 +146,23 @@ class StorageRecord:
     input_state: SqueezingRecord
     output_state: SqueezingRecord
 
+    def __post_init__(self) -> None:
+        # Every analysis scans the input's overlap with its rotated copy and,
+        # in the pure_target mode or in the note on it, the overlap of the
+        # output's nearest pure squeezed target.
+        if not _overlap_fits(*self.input_state.linear_pair, physical=True):
+            raise ValueError(
+                f"input squeezing_db {self.input_state.squeezing_db!r} and "
+                f"antisqueezing_db {self.input_state.antisqueezing_db!r} "
+                f"overflow the overlap algebra"
+            )
+        if not _overlap_fits(*self.output_state.pure_target_pair, physical=False):
+            raise ValueError(
+                f"output squeezing_db {self.output_state.squeezing_db!r} and "
+                f"antisqueezing_db {self.output_state.antisqueezing_db!r} overflow "
+                f"the overlap algebra of their nearest pure squeezed target"
+            )
+
 
 @dataclass(frozen=True, eq=False)
 class StorageReport:
@@ -186,8 +205,7 @@ def _mode_inputs(rec: StorageRecord, mode: str) -> tuple[float, tuple[float, flo
     if mode == AS_PUBLISHED:
         (x, y), target = rec.input_state.linear_pair, (x_out, y_out)
     elif mode == PURE_TARGET:
-        r = optimal_target_squeezing(x_out, y_out)
-        (x, y), target = (x_out, y_out), (math.exp(2.0 * r), math.exp(-2.0 * r))
+        (x, y), target = (x_out, y_out), rec.output_state.pure_target_pair
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return 2.0 / (1.0 + math.sqrt(x * y)), target
@@ -195,8 +213,11 @@ def _mode_inputs(rec: StorageRecord, mode: str) -> tuple[float, tuple[float, flo
 
 def _curves(input_pair, target_pair, thetas):
     """Return ``(gamma_sq, gamma_prime_sq, B, rhs)`` at angle(s) ``thetas``."""
-    g_sq = input_overlap_sq(*input_pair, thetas)
-    gp_sq = target_overlap_sq(*target_pair, thetas)
+    import numpy as np
+
+    cos2t = np.cos(2.0 * np.asarray(thetas))
+    g_sq = _input_overlap_sq(*input_pair, cos2t, np.sqrt)
+    gp_sq = _target_overlap_sq(*target_pair, cos2t, np.sqrt)
     nonorth = np.maximum((1.0 - gp_sq) * g_sq, 0.0)
     return g_sq, gp_sq, nonorth, _bound(nonorth, 0.5, np.sqrt)
 
@@ -212,6 +233,8 @@ def squeezed_storage_analysis(
     (1 + sqrt(1 - B(theta))) / 2.  The scan covers [0, pi/2], which is a
     full period of every curve involved.
     """
+    import numpy as np
+
     if theta_points < MIN_THETA_POINTS:
         raise ValueError(f"need at least {MIN_THETA_POINTS} grid points")
     thetas = np.linspace(0.0, 0.5 * math.pi, theta_points)
@@ -256,6 +279,8 @@ def squeezed_storage_analysis(
 
 
 def _alternate_note(rec: StorageRecord, thetas: np.ndarray, mode: str) -> str:
+    import numpy as np
+
     other = PURE_TARGET if mode == AS_PUBLISHED else AS_PUBLISHED
     fid, target_pair = _mode_inputs(rec, other)
     rhs = _curves(rec.input_state.linear_pair, target_pair, thetas)[3]

@@ -34,8 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "OverlapPair",
@@ -377,6 +379,8 @@ def boundary_curve(B: float, n_points: int) -> np.ndarray:
     a = b = classical_fidelity_bound(B, 0.5) is always a row, to the last
     bit.  Returns an (n_points, 2) array of (a, b) rows clipped to [0, 1].
     """
+    import numpy as np
+
     B = float(B)
     if not (0.0 < B < 1.0):
         raise ValueError(f"B must lie in (0, 1) for a boundary curve, got {B!r}")

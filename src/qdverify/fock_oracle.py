@@ -20,6 +20,9 @@ for the squeeze constructor whose truncated exponential is unitary
 regardless, when the top level carries more than that tolerance.  The
 default dimension of 120 comfortably covers squeezing up to about 6 dB
 with up to one thermal photon.
+
+Each function that needs numpy imports it itself, so that the command line
+can load this module without it.
 """
 
 from __future__ import annotations
@@ -27,8 +30,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FockDensity",
@@ -69,6 +74,8 @@ class FockDensity:
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         w = np.array(self.weights, dtype=float)
         v = np.asarray(self.vectors)
         if w.ndim != 1 or v.ndim != 2 or v.shape[1] != w.size or v.size == 0:
@@ -98,10 +105,14 @@ class FockDensity:
 
 def destroy(dim: int) -> np.ndarray:
     """Annihilation operator on the first ``dim`` Fock levels."""
+    import numpy as np
+
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
 
 def _check_args(dim: int, **params: complex) -> None:
+    import numpy as np
+
     if dim < 2:
         raise ValueError(f"dim must be at least 2, got {dim!r}")
     for name, value in params.items():
@@ -111,6 +122,8 @@ def _check_args(dim: int, **params: complex) -> None:
 
 def coherent_fock(alpha: complex, dim: int = DEFAULT_DIM) -> FockDensity:
     """Coherent state built from its analytic number-basis amplitudes."""
+    import numpy as np
+
     _check_args(dim, alpha=alpha)
     mod = math.hypot(alpha.real, alpha.imag)  # abs() raises past the float range
     if not mod * mod < dim:
@@ -130,6 +143,8 @@ def coherent_fock(alpha: complex, dim: int = DEFAULT_DIM) -> FockDensity:
 
 
 def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
+    import numpy as np
+
     if nbar < 0.0:
         raise ValueError("nbar must be non-negative")
     ratio = nbar / (1.0 + nbar)
@@ -138,12 +153,16 @@ def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
 
 def thermal_fock(nbar: float, dim: int = DEFAULT_DIM) -> FockDensity:
     """Thermal state with mean photon number ``nbar`` (geometric weights)."""
+    import numpy as np
+
     _check_args(dim, nbar=nbar)
     return FockDensity(_thermal_weights(nbar, dim), np.eye(dim))
 
 
 @functools.lru_cache(maxsize=2)
 def _squeeze_basis(dim: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    import numpy as np
+
     # Per parity block: the eigenvalues and orthogonal eigenvectors of the real
     # symmetric tridiagonal T whose off-diagonal is half that block's slice of
     # the band, and the signs (-1)**floor((j - k) / 2); all read-only.  T has a
@@ -181,6 +200,8 @@ def squeeze_matrix(r: float, dim: int) -> np.ndarray:
     ``scipy.linalg.expm``: 1.7e-13), and S S^T lies within 1e-14 of the
     identity up to dim 1000 (expm: 1e-11).
     """
+    import numpy as np
+
     _check_args(dim, r=r)
     s = np.zeros((dim, dim))
     for parity, (lam, q, sign) in enumerate(_squeeze_basis(dim)):
@@ -201,6 +222,8 @@ def squeezed_thermal(
     levels because squeezing a diagonal base populates levels in steps of
     two, leaving one parity empty).
     """
+    import numpy as np
+
     _check_args(dim, r=r, nbar=nbar, theta=theta)
     s = squeeze_matrix(r, dim)
     p = _thermal_weights(nbar, dim)
@@ -223,6 +246,8 @@ def uhlmann_fock(r1: FockDensity, r2: FockDensity) -> float:
     so |sqrt(p_d) sqrt(s)|_1 <= |sqrt(p_d)|_2 |sqrt(s)|_2 = sqrt(d): the
     full-rank fidelity is higher by at most 2 sqrt(DROPPED_WEIGHT) = 2e-13.
     """
+    import numpy as np
+
     if r1.dim != r2.dim:
         raise ValueError(f"dimension mismatch: {r1.dim} vs {r2.dim}")
     (s1, v1), (s2, v2) = ((np.sqrt(r.weights), r.vectors) for r in (r1, r2))
@@ -237,6 +262,8 @@ def quadrature_moments_fock(r: FockDensity) -> tuple[float, float, float, float]
     <a^dag a + a a^dag> from the diagonal, with the truncated ``destroy``;
     each band p[n+j, n] = sum_k w_k V[n+j, k] V*[n, k] comes from the spectrum.
     """
+    import numpy as np
+
     v, wv = r.vectors, r.vectors.conj() * r.weights
     diag, sub1, sub2 = ((v[j:] * wv[:r.dim - j]).sum(axis=1) for j in range(3))
     n = np.arange(1.0, r.dim)

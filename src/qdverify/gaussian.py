@@ -10,7 +10,8 @@ has covariance diag(e**(2r), e**(-2r)); positive r stretches x1.
 Everything here is closed-form, with the 2x2 algebra in scalar math:
 fidelities between arbitrary single-mode Gaussian states, projections
 onto pure squeezed-vacuum targets, and the overlap curves of rotated
-state pairs that :mod:`qdverify.applications` scans over.  The matching
+state pairs that :mod:`qdverify.applications` scans over.  Only those
+curves, which take arrays of angles, import numpy.  The matching
 truncated number-basis computations live in :mod:`qdverify.fock_oracle`
 and validate each formula in the test suite.
 """
@@ -19,8 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "CovMat2",
@@ -99,10 +98,21 @@ class SqueezingRecord:
             raise ValueError(
                 f"variance product {v1 * v2!r} below 1: record is unphysical"
             )
+        if not _overlap_fits(v1, v2, physical=False):
+            raise ValueError(
+                f"squeezing_db {self.squeezing_db!r} and antisqueezing_db "
+                f"{self.antisqueezing_db!r} overflow the overlap algebra"
+            )
 
     @property
     def linear_pair(self) -> tuple[float, float]:
         return db_to_linear(self.squeezing_db), db_to_linear(self.antisqueezing_db)
+
+    @property
+    def pure_target_pair(self) -> tuple[float, float]:
+        """Variances e**(2r), e**(-2r) of the nearest pure squeezed vacuum."""
+        r = optimal_target_squeezing(*self.linear_pair)
+        return math.exp(2.0 * r), math.exp(-2.0 * r)
 
 
 def db_to_linear(db: float) -> float:
@@ -174,10 +184,9 @@ def input_overlap_sq(x_var, y_var, theta):
     by ``theta``; works for mixed states (variance product above 1).
     Accepts scalar or array ``theta``.
     """
-    _check_variances(x_var, y_var, physical=True)
-    prod = x_var * y_var
-    spread = _rotation_spread(x_var, y_var, theta)
-    return 2.0 / (np.sqrt(prod * prod + spread + 1.0) - prod + 1.0)
+    import numpy as np
+
+    return _input_overlap_sq(x_var, y_var, np.cos(2.0 * np.asarray(theta)), np.sqrt)
 
 
 def target_overlap_sq(x_var, y_var, theta):
@@ -188,14 +197,44 @@ def target_overlap_sq(x_var, y_var, theta):
     those entries, which is how the published storage benchmark numbers
     arise, not a physical overlap.  Accepts scalar or array ``theta``.
     """
+    import numpy as np
+
+    return _target_overlap_sq(x_var, y_var, np.cos(2.0 * np.asarray(theta)), np.sqrt)
+
+
+# The two overlaps at cos2t = cos(2 theta), with the caller's numpy sqrt, so
+# that a scan computes the cosine once per angle and imports numpy once.
+def _input_overlap_sq(x_var, y_var, cos2t, sqrt):
+    _check_variances(x_var, y_var, physical=True)
+    prod = x_var * y_var
+    spread = _rotation_spread(x_var, y_var, cos2t)
+    return 2.0 / (sqrt(prod * prod + spread + 1.0) - prod + 1.0)
+
+
+def _target_overlap_sq(x_var, y_var, cos2t, sqrt):
     _check_variances(x_var, y_var, physical=False)
-    return 2.0 / np.sqrt(2.0 + _rotation_spread(x_var, y_var, theta))
+    return 2.0 / sqrt(2.0 + _rotation_spread(x_var, y_var, cos2t))
 
 
-def _rotation_spread(x_var, y_var, theta):
-    return 0.5 * (
-        (x_var + y_var) ** 2 - (x_var - y_var) ** 2 * np.cos(2.0 * np.asarray(theta))
-    )
+def _overlap_fits(x_var: float, y_var: float, *, physical: bool) -> bool:
+    """Whether the overlap of this pair with its rotated copy stays finite.
+
+    Both overlaps grow with the rotation spread, which peaks at
+    cos(2 theta) = -1, and the input overlap (``physical``) adds
+    (x_var * y_var)**2 + 1 to it; the sums are taken in the same order.
+    """
+    try:
+        worst = _rotation_spread(x_var, y_var, -1.0)
+        if physical:
+            prod = x_var * y_var
+            worst = prod * prod + worst + 1.0
+        return math.isfinite(worst)
+    except OverflowError:
+        return False
+
+
+def _rotation_spread(x_var, y_var, cos2t):
+    return 0.5 * ((x_var + y_var) ** 2 - (x_var - y_var) ** 2 * cos2t)
 
 
 def _check_variances(x_var: float, y_var: float, *, physical: bool) -> None:

@@ -18,6 +18,9 @@ The tangent construction used in that verification pairs the payoff loop
 with an affine function of the angle whose square dominates the loop
 everywhere and touches it at angles 0 and pi; the gap between the two has
 the closed form exposed as :func:`tangency_residual`.
+
+Each function that needs numpy imports it itself, so that the command line
+can load this module without it.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .criterion import _check_unit, _refine
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EnsembleParams",
@@ -141,11 +146,15 @@ def angle_payoff_sq(ep: EnsembleParams, gamma: float, gamma_prime: float, phi):
     weighted by half the element trace, is the element's contribution to
     the scheme fidelity in :func:`scheme_fidelity`.
     """
+    import numpy as np
+
     return _payoff_sq_cs(_payoff_coeffs(ep, gamma, gamma_prime), np.cos(phi), np.sin(phi))
 
 
 def payoff_tangent(ep: EnsembleParams, gamma: float, gamma_prime: float, phi):
     """Affine majorant whose square touches the payoff at angles 0 and pi."""
+    import numpy as np
+
     t2 = gamma_prime * gamma_prime
     P = ep.bias
     G = ep.diff_norm
@@ -161,6 +170,8 @@ def tangency_residual(ep: EnsembleParams, gamma: float, gamma_prime: float, phi)
     is what makes angles 0 and pi the touching points; it is identically
     zero for orthogonal inputs, identical targets, or extreme priors.
     """
+    import numpy as np
+
     t2 = gamma_prime * gamma_prime
     P = ep.bias
     G = ep.diff_norm
@@ -200,6 +211,8 @@ def _pair_at(coeffs: tuple, phi: float) -> float:
 
 @functools.lru_cache(maxsize=2)
 def _grid(resolution: int) -> tuple[np.ndarray, ...]:
+    import numpy as np
+
     # The scan angles over [0, pi) and the cosine and sine at each angle and its
     # antipode, read-only; -cos(phi) would round apart from cos(phi + pi).
     phis = np.linspace(0.0, math.pi, resolution, endpoint=False)
@@ -225,6 +238,8 @@ def random_scheme_search(
     completeness sum.  Deterministic for a fixed seed.  Returns
     ``(None, -inf)`` when every draw is rejected.
     """
+    import numpy as np
+
     ep = ensemble_params(gamma, p_plus)
     coeffs = _payoff_coeffs(ep, gamma, gamma_prime)
     rng = np.random.default_rng(seed)
@@ -286,6 +301,8 @@ def optimize_scheme(
     found with its fidelity.  The result should match the closed-form
     bound to well below 1e-6; any excess beyond 1e-9 indicates a bug.
     """
+    import numpy as np
+
     resolution = int(resolution)
     if resolution < 16:
         raise ValueError("resolution must be at least 16")

@@ -19,7 +19,7 @@ from qdverify.applications import (
     teleport_two_state_check,
 )
 from qdverify.criterion import FidelityPair
-from qdverify.gaussian import SqueezingRecord
+from qdverify.gaussian import SqueezingRecord, db_to_linear, input_overlap_sq, target_overlap_sq
 
 # Frozen outputs of an independent scan (2e6 grid points plus golden-section
 # refinement, plain math module arithmetic).
@@ -207,6 +207,70 @@ def test_storage_verdict_rhs_is_the_reported_floor(state_in, state_out):
             assert rep.verdict.rhs == rep.rhs_min
         else:  # B is zero at the floor, so the verdict is degenerate with no rhs
             assert math.isnan(rep.verdict.rhs) and rep.rhs_min == 1.0
+
+
+def _last_accepted(make, lo, hi):
+    # The largest float in [lo, hi) for which make(value) raises no ValueError,
+    # when that holds below one edge and fails above it.
+    def accepts(value):
+        try:
+            make(value)
+        except ValueError:
+            return False
+        return True
+
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if accepts(mid) else (lo, mid)
+    return lo
+
+
+def test_squeezing_record_rejects_exactly_the_pairs_whose_overlap_overflows():
+    # The rotation spread peaks at the end of the storage scan, theta = pi/2;
+    # the record must stop where numpy would first overflow there.
+    edge = _last_accepted(lambda db: SqueezingRecord(3.0, db), 1500.0, 1600.0)
+    assert edge == pytest.approx(1539.7684278212637, abs=1e-9)
+    beyond = math.nextafter(edge, math.inf)
+    with pytest.raises(ValueError, match="antisqueezing_db .* overflow the overlap algebra"):
+        SqueezingRecord(3.0, beyond)
+    thetas = np.linspace(0.0, 0.5 * math.pi, 64)
+    with np.errstate(over="raise"):
+        at_edge = target_overlap_sq(*SqueezingRecord(3.0, edge).linear_pair, thetas)
+        assert np.isfinite(at_edge).all()
+        with pytest.raises(FloatingPointError):
+            target_overlap_sq(db_to_linear(3.0), db_to_linear(beyond), thetas)
+
+
+def test_storage_record_rejects_exactly_the_inputs_whose_overlap_overflows():
+    # The input overlap adds (x * y)**2 to the rotation spread, so its edge
+    # lies below the record's own; numpy first overflows at theta = pi/2.
+    out = SqueezingRecord(3.0, 6.0)
+    edge = _last_accepted(lambda db: StorageRecord("lab", SqueezingRecord(3.0, db), out),
+                          1500.0, 1600.0)
+    assert edge == pytest.approx(1537.78696383104, abs=1e-9)
+    beyond = math.nextafter(edge, math.inf)
+    SqueezingRecord(3.0, beyond)  # fine as a record, not as an input
+    with pytest.raises(ValueError, match="input squeezing_db .* overflow the overlap algebra"):
+        StorageRecord("lab", SqueezingRecord(3.0, beyond), out)
+    thetas = np.linspace(0.0, 0.5 * math.pi, 64)
+    with np.errstate(over="raise"):
+        at_edge = input_overlap_sq(db_to_linear(3.0), db_to_linear(edge), thetas)
+        assert np.isfinite(at_edge).all()
+        with pytest.raises(FloatingPointError):
+            input_overlap_sq(db_to_linear(3.0), db_to_linear(beyond), thetas)
+
+
+def test_storage_record_rejects_an_output_whose_pure_target_overflows():
+    # Just below 1 in variance product, the nearest pure target is a little
+    # more squeezed than the record, so only its overlap overflows.
+    edge = _last_accepted(lambda db: SqueezingRecord(-db - 1e-6, db), 1500.0, 1600.0)
+    output = SqueezingRecord(-edge - 1e-6, edge)
+    thetas = np.linspace(0.0, 0.5 * math.pi, 64)
+    with np.errstate(over="raise"):
+        assert np.isfinite(target_overlap_sq(*output.linear_pair, thetas)).all()
+        with pytest.raises(FloatingPointError):
+            target_overlap_sq(*output.pure_target_pair, thetas)
+    with pytest.raises(ValueError, match="output squeezing_db .* nearest pure squeezed target"):
+        StorageRecord("lab", SqueezingRecord(-3.0, 6.0), output)
 
 
 def test_storage_validation():

@@ -15,6 +15,7 @@ import qdverify
 from qdverify import cli
 from qdverify.cli import DIM_RANGE, MAX_SAMPLES, main
 from qdverify.criterion import OverlapPair, classical_fidelity_bound
+from qdverify.gaussian import SqueezingRecord
 
 RECORD = {
     "label": "bench",
@@ -491,6 +492,104 @@ def test_import_loads_no_scipy():
     loaded = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()]
     assert "qdverify.fock_oracle" in loaded
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def _fresh_cli(argv, cwd):
+    """Run ``python -X importtime -m qdverify.cli argv`` in a fresh process.
+
+    Returns the exit code, stdout, stderr without the import-time lines, and
+    the names of the modules the run imported.
+    """
+    src = str(Path(qdverify.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qdverify.cli", *argv],
+        env=env, cwd=cwd, capture_output=True, text=True,
+    )
+    lines = run.stderr.splitlines(keepends=True)
+    timing = [line for line in lines if line.startswith("import time:")]
+    err = "".join(line for line in lines if not line.startswith("import time:"))
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in timing}
+    return run.returncode, run.stdout, err, loaded
+
+
+def test_decisions_and_input_errors_start_without_numpy(tmp_path):
+    # numpy is most of a cold start; only the commands that build arrays load it
+    listed, nulled = tmp_path / "list.json", tmp_path / "null.json"
+    listed.write_text("[-2.0, 6.0, -0.07, 0.49]", encoding="utf-8")
+    nulled.write_text(json.dumps({**RECORD, "Yp_db": None}), encoding="utf-8")
+    no_numpy = [
+        (["criterion", "--a", "0.95", "--b", "0.95", "--B", "0.25"], 0),
+        (["criterion", "--a", "0.9", "--b", "0.85", "--gamma", "0.8", "--gamma-prime", "0.6",
+          "--p-plus", "0.3"], 0),
+        (["criterion", "--a", "0.2", "--b", "0.9", "--B", "0.25"], 0),
+        (["coherent", "--alpha", "1.0", "--eta", "0.5", "--a", "0.9", "--b", "0.9"], 0),
+        (["criterion", "--a", "0.9", "--b", "0.9", "--B", "0.5", "--gamma", "0.3"], 2),
+        (["squeezed", "--record", str(listed)], 2),
+        (["squeezed", "--record", str(nulled)], 2),
+        ([*SQUEEZED_FLAG_ARGV[:-1], "nan"], 2),
+        (["oracle-check", "--grid-size", "0", "--pairs", "0"], 2),
+    ]
+    with_numpy = [
+        (["boundary", "--B", "0.5", "--points", "3"], 0),
+        ([*SQUEEZED_FLAG_ARGV, "--theta-points", "64"], 0),
+        (["table1", "--theta-points", "64"], 0),
+        (SMALL_ORACLE_ARGV, 0),
+    ]
+    fresh = {}
+    for cases, needs_numpy in ((no_numpy, False), (with_numpy, True)):
+        for argv, expected in cases:
+            code, out, err, loaded = _fresh_cli(argv, tmp_path)
+            assert code == expected, (argv, err)
+            assert ("numpy" in loaded) is needs_numpy, argv
+            assert not any(m.split(".")[0] == "scipy" for m in loaded), argv
+            fresh[tuple(argv)] = (code, out, err)
+    # One process that alternates between the two kinds writes the same bytes.
+    order = [case for pair in zip(no_numpy, with_numpy) for case in pair]
+    order += no_numpy[len(with_numpy):]
+    for argv, _ in order:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        assert (code, out.getvalue(), err.getvalue()) == fresh[tuple(argv)], argv
+
+
+def _largest_accepted_db(squeezing_db):
+    # The largest antisqueezing a record with this squeezing accepts.
+    lo, hi = 1000.0, 2000.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        try:
+            SqueezingRecord(squeezing_db, mid)
+        except ValueError:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def test_squeezed_rejects_a_record_whose_overlap_overflows(capsys):
+    # Beyond the edge the storage scan squared or summed past the float range:
+    # an OverflowError traceback, or an overflow RuntimeWarning and a verdict
+    # drawn from infinities.
+    edge = _largest_accepted_db(3.0)
+    head = SQUEEZED_FLAG_ARGV[:5]  # input -2 dB / 6 dB
+    for antisqueezing, expected in ((edge, 0), (math.nextafter(edge, math.inf), 2)):
+        argv = [*head, "--squeezing-out-db", "3", "--antisqueezing-out-db", repr(antisqueezing),
+                "--theta-points", "64"]
+        code, cap = _run(capsys, argv)
+        assert code == expected
+        if expected == 2:
+            assert cap.err.startswith("error:") and cap.err.count("\n") == 1
+            assert cap.out == ""
+    code, cap = _run(capsys, [
+        "squeezed", "--squeezing-in-db", "3", "--antisqueezing-in-db", "1545",
+        "--squeezing-out-db", "3", "--antisqueezing-out-db", "6", "--theta-points", "64",
+    ])
+    assert code == 2 and cap.out == ""
+    assert cap.err == (
+        "error: squeezing_db 3.0 and antisqueezing_db 1545.0 overflow the overlap algebra\n"
+    )
 
 
 def test_argparse_exits_map_to_codes(capsys):

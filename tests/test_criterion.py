@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,17 +223,35 @@ def test_numeric_agrees_with_closed_form():
     assert checked > 200
 
 
-class _NoNumpy:
-    def __getattr__(self, name):
-        raise AssertionError(f"numpy.{name} used by a scalar verdict")
+SCALAR_CASES = [(0.95, 0.95, 0.25), (0.6, 0.9, 0.25), (0.69, 0.99, 0.16),
+                (0.2, 0.9, 0.25), (0.99, 0.99, 0.0), (0.9, 0.8, 1.0)]
 
 
-def test_scalar_verdicts_make_no_numpy_call(monkeypatch):
-    monkeypatch.setattr(criterion, "np", _NoNumpy())
-    for a, b, B in [(0.95, 0.95, 0.25), (0.6, 0.9, 0.25), (0.69, 0.99, 0.16),
-                    (0.2, 0.9, 0.25), (0.99, 0.99, 0.0), (0.9, 0.8, 1.0)]:
-        f = FidelityPair(a, b)
-        assert qd_criterion_numeric(f, B).degenerate == qd_criterion(f, B).degenerate
+def test_scalar_verdicts_make_no_numpy_call():
+    # A fresh interpreter in which numpy cannot be imported: a numpy call in
+    # either verdict, or a module-level numpy import anywhere in the package,
+    # fails the run.  Its verdicts must be those of this process, bit for bit.
+    src = str(Path(criterion.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from qdverify.criterion import FidelityPair, qd_criterion, qd_criterion_numeric\n"
+        f"for a, b, B in {SCALAR_CASES!r}:\n"
+        "    f = FidelityPair(a, b)\n"
+        "    print(repr((qd_criterion(f, B), qd_criterion_numeric(f, B))))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    verdicts = [
+        (qd_criterion(FidelityPair(a, b), B), qd_criterion_numeric(FidelityPair(a, b), B))
+        for a, b, B in SCALAR_CASES
+    ]
+    assert run.stdout.splitlines() == [repr(pair) for pair in verdicts]
+    assert all(closed.degenerate == numeric.degenerate for closed, numeric in verdicts)
 
 
 def test_tangency_prior_example():
