@@ -20,6 +20,7 @@ other mode's headline in its notes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -200,15 +201,37 @@ BENCHMARK_RECORDS: tuple[StorageRecord, ...] = (
 
 
 def _mode_inputs(rec: StorageRecord, mode: str) -> tuple[float, tuple[float, float]]:
-    """Per-mode shared fidelity and the variance pair behind gamma_prime."""
-    x_out, y_out = rec.output_state.linear_pair
+    """Per-mode shared fidelity and the variance pair behind gamma_prime.
+
+    The pure_target mode credits the output's projection 2 / (1 + sqrt(x y))
+    onto its nearest pure target, which is undefined (above 1) when the
+    output variances fall below the floor x y = 1 by more than rounding, as
+    the record's tolerance allows.
+    """
+    out = rec.output_state
     if mode == AS_PUBLISHED:
-        (x, y), target = rec.input_state.linear_pair, (x_out, y_out)
+        (x, y), target = rec.input_state.linear_pair, out.linear_pair
     elif mode == PURE_TARGET:
-        (x, y), target = (x_out, y_out), rec.output_state.pure_target_pair
+        (x, y), target = out.linear_pair, out.pure_target_pair
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return 2.0 / (1.0 + math.sqrt(x * y)), target
+    fid = 2.0 / (1.0 + math.sqrt(x * y))
+    if fid > 1.0 and mode == PURE_TARGET:
+        raise ValueError(
+            f"mode pure_target is undefined for this record: output squeezing_db "
+            f"{out.squeezing_db!r} and antisqueezing_db {out.antisqueezing_db!r} give "
+            f"a variance product {x * y!r} below 1, so its fidelity 2/(1 + sqrt(product)) "
+            f"would be {fid!r}, above 1"
+        )
+    return fid, target
+
+
+def _overlaps(input_pair, target_pair, cos2t, sqrt, maximum):
+    # (gamma_sq, gamma_prime_sq, B) at cos2t = cos(2 theta), either in numpy
+    # on arrays or in math on one angle, which gives the same bits.
+    g_sq = _input_overlap_sq(*input_pair, cos2t, sqrt)
+    gp_sq = _target_overlap_sq(*target_pair, cos2t, sqrt)
+    return g_sq, gp_sq, maximum((1.0 - gp_sq) * g_sq, 0.0)
 
 
 def _curves(input_pair, target_pair, thetas):
@@ -216,10 +239,18 @@ def _curves(input_pair, target_pair, thetas):
     import numpy as np
 
     cos2t = np.cos(2.0 * np.asarray(thetas))
-    g_sq = _input_overlap_sq(*input_pair, cos2t, np.sqrt)
-    gp_sq = _target_overlap_sq(*target_pair, cos2t, np.sqrt)
-    nonorth = np.maximum((1.0 - gp_sq) * g_sq, 0.0)
+    g_sq, gp_sq, nonorth = _overlaps(input_pair, target_pair, cos2t, np.sqrt, np.maximum)
     return g_sq, gp_sq, nonorth, _bound(nonorth, 0.5, np.sqrt)
+
+
+def _nonorth_at(input_pair, target_pair, theta: float) -> float:
+    """B at one angle in scalar math: ``float(_curves(...)[2])`` to the bit."""
+    return _overlaps(input_pair, target_pair, math.cos(2.0 * theta), math.sqrt, max)[2]
+
+
+def _floor_at(input_pair, target_pair, theta: float) -> float:
+    """The benchmark at one angle in scalar math: ``float(_curves(...)[3])``."""
+    return _bound(_nonorth_at(input_pair, target_pair, theta), 0.5)
 
 
 def squeezed_storage_analysis(
@@ -244,14 +275,14 @@ def squeezed_storage_analysis(
 
     k = int(np.argmin(rhs))
     x, fx = _refine(
-        lambda t: float(_curves(input_pair, target_pair, t)[3]),
+        functools.partial(_floor_at, input_pair, target_pair),
         float(thetas[max(k - 1, 0)]), float(thetas[min(k + 1, theta_points - 1)]),
         thetas[k], rhs[k],
     )
     theta_min, rhs_min = float(x), float(fx)
 
     pair = FidelityPair(fid, fid)
-    verdict = qd_criterion(pair, float(_curves(input_pair, target_pair, theta_min)[2]))
+    verdict = qd_criterion(pair, _nonorth_at(input_pair, target_pair, theta_min))
 
     notes = [_alternate_note(rec, thetas, mode)]
     if theta_min < 1e-6:
@@ -282,7 +313,10 @@ def _alternate_note(rec: StorageRecord, thetas: np.ndarray, mode: str) -> str:
     import numpy as np
 
     other = PURE_TARGET if mode == AS_PUBLISHED else AS_PUBLISHED
-    fid, target_pair = _mode_inputs(rec, other)
+    try:
+        fid, target_pair = _mode_inputs(rec, other)
+    except ValueError as exc:  # an output below the floor leaves pure_target undefined
+        return str(exc)
     rhs = _curves(rec.input_state.linear_pair, target_pair, thetas)[3]
     k = int(np.argmin(rhs))
     return (

@@ -386,6 +386,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> tuple[dict, None, int]:
     _check_count("--random-schemes", args.random_schemes, 0)
     _check_count("--resolution", args.resolution, hi=MAX_SAMPLES)
     _check_count("--dim", args.dim, *DIM_RANGE)
+    _check_count("--seed", args.seed, 0)
     suites = [
         _scheme_suite(args, _tolerance(args, SCHEME_SUITE_TOL)),
         _fock_suite(args, _tolerance(args, FOCK_SUITE_TOL)),

@@ -75,11 +75,6 @@ _MAXFUN = 500
 _XATOL = 1e-12
 
 
-def _sign(x: float) -> float:
-    # np.sign(x) + (x == 0): the direction of a step, +1 when x is zero.
-    return -1.0 if x < 0.0 else 1.0
-
-
 def _minimize_bounded(func, lo: float, hi: float) -> tuple[float, float]:
     """Minimise ``func`` on [lo, hi] by Brent's bounded method (fminbound).
 
@@ -118,14 +113,18 @@ def _minimize_bounded(func, lo: float, hi: float) -> tuple[float, float]:
                 rat = (p + 0.0) / q
                 x = xf + rat
                 if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _sign(xm - xf)
+                    rat = -tol1 if xm - xf < 0.0 else tol1
             else:
                 golden = True
         if golden:
             e = (a - xf) if xf >= xm else (b - xf)
             rat = _GOLDEN * e
 
-        x = xf + _sign(rat) * max(abs(rat), tol1)
+        # xf + sign(rat) * max(|rat|, tol1), with sign(0) = +1 and a NaN |rat| kept
+        step = abs(rat)
+        if tol1 > step:
+            step = tol1
+        x = xf - step if rat < 0.0 else xf + step
         fu = func(x)
         num += 1
 

@@ -13,6 +13,10 @@ all weighted angle sets subject to POVM completeness reproduces, to
 numerical precision, the closed form in :mod:`qdverify.criterion`.  The
 search shares no formula with it and is still cheap: the grid's trigonometry
 is cached per resolution, and refinement and random draws run in scalar math.
+The random schemes are drawn from ``random.Random(seed).random``, whose
+stream Python keeps stable across versions.  They used to come from numpy's
+``default_rng``; that move changed, once, which schemes each seed draws, but
+not what :func:`optimize_scheme` returns, since its projective scan wins.
 
 The tangent construction used in that verification pairs the payoff loop
 with an affine function of the angle whose square dominates the loop
@@ -28,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -222,6 +227,18 @@ def _grid(resolution: int) -> tuple[np.ndarray, ...]:
     return grid
 
 
+def _check_seed(seed) -> int:
+    # random.Random would take any hashable and fold a negative seed onto its
+    # absolute value, so only non-negative integers get through.
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return value
+
+
 def random_scheme_search(
     gamma: float,
     gamma_prime: float,
@@ -235,19 +252,18 @@ def random_scheme_search(
     Draws weighted angle sets, restores the two moment constraints by an
     exact correction on the best-conditioned pair of weights, drops any
     draw that would need a negative weight, and rescales to the
-    completeness sum.  Deterministic for a fixed seed.  Returns
-    ``(None, -inf)`` when every draw is rejected.
+    completeness sum.  Deterministic for a fixed non-negative integer
+    seed, which seeds ``random.Random``.  Returns ``(None, -inf)`` when
+    every draw is rejected.
     """
-    import numpy as np
-
     ep = ensemble_params(gamma, p_plus)
     coeffs = _payoff_coeffs(ep, gamma, gamma_prime)
-    rng = np.random.default_rng(seed)
+    draw = random.Random(_check_seed(seed)).random
     best_value, best = -math.inf, None
     for _ in range(n_schemes):
-        k = int(rng.integers(2, _MAX_ELEMENTS + 1))
-        angles = rng.uniform(0.0, 2.0 * math.pi, k).tolist()
-        weights = rng.uniform(0.2, 1.0, k).tolist()
+        k = 2 + int((_MAX_ELEMENTS - 1) * draw())
+        angles = [2.0 * math.pi * draw() for _ in range(k)]
+        weights = [0.2 + 0.8 * draw() for _ in range(k)]
         shifted = [a + ep.axis_angle for a in angles]
         cs, sn = [math.cos(t) for t in shifted], [math.sin(t) for t in shifted]
         # Pick the pair of elements whose directions are least collinear.
@@ -306,6 +322,7 @@ def optimize_scheme(
     resolution = int(resolution)
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
+    _check_seed(seed)
     _check_unit("gamma_prime", gamma_prime)
     coeffs = _payoff_coeffs(ensemble_params(gamma, p_plus), gamma, gamma_prime)
 

@@ -11,6 +11,10 @@ from qdverify.applications import (
     PURE_TARGET,
     CoherentTask,
     StorageRecord,
+    _curves,
+    _floor_at,
+    _mode_inputs,
+    _nonorth_at,
     benchmark_table,
     coherent_task_overlaps,
     coherent_verify,
@@ -207,6 +211,87 @@ def test_storage_verdict_rhs_is_the_reported_floor(state_in, state_out):
             assert rep.verdict.rhs == rep.rhs_min
         else:  # B is zero at the floor, so the verdict is degenerate with no rhs
             assert math.isnan(rep.verdict.rhs) and rep.rhs_min == 1.0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(SQUEEZING, SQUEEZING, st.sampled_from([AS_PUBLISHED, PURE_TARGET]),
+       st.floats(0.0, 0.5 * math.pi))
+def test_scalar_storage_objective_keeps_the_bits_of_the_numpy_curves(
+    state_in, state_out, mode, theta
+):
+    # the storage refinement evaluates its objective in math; it must agree
+    # with the numpy curves bit for bit, or the refined floor would move
+    rec = StorageRecord("session", state_in, state_out)
+    input_pair, target_pair = rec.input_state.linear_pair, _mode_inputs(rec, mode)[1]
+    curves = _curves(input_pair, target_pair, theta)
+    assert _floor_at(input_pair, target_pair, theta).hex() == float(curves[3]).hex()
+    assert _nonorth_at(input_pair, target_pair, theta).hex() == float(curves[2]).hex()
+
+
+# label -> mode -> theta_points -> (theta_min.hex(), rhs_min.hex()), captured
+# from the scan whose Brent objective ran through the numpy curves
+FROZEN_FLOORS = {
+    "storage-2dB": {
+        AS_PUBLISHED: {256: ("0x1.6077c7fe5c318p-24", "0x1.fcd99e6fe4cdbp-1"),
+                       4096: ("0x1.1b065d497e741p-24", "0x1.fcd99e6fe4cdbp-1")},
+        PURE_TARGET: {256: ("0x1.921fb54442d18p+0", "0x1.ffd74c207d78dp-1"),
+                      4096: ("0x1.921fb54442d18p+0", "0x1.ffd74c207d78dp-1")},
+    },
+    "storage-1.2dB": {
+        AS_PUBLISHED: {256: ("0x1.b53f708c1be71p-23", "0x1.fa60cddf249cap-1"),
+                       4096: ("0x1.1b7798b0809a3p-23", "0x1.fa60cddf249cap-1")},
+        PURE_TARGET: {256: ("0x1.921fb4ac9b981p+0", "0x1.ff3f1fd17a920p-1"),
+                      4096: ("0x1.921fb4ae03d36p+0", "0x1.ff3f1fd17a920p-1")},
+    },
+    "storage-1.9dB": {
+        AS_PUBLISHED: {256: ("0x1.2ac4189b87035p-25", "0x1.f7723a9c17ca4p-1"),
+                       4096: ("0x1.b11a495c45d79p-25", "0x1.f7723a9c17ca4p-1")},
+        PURE_TARGET: {256: ("0x1.921fb4d2d49ebp+0", "0x1.feb4f9bdb1cc6p-1"),
+                      4096: ("0x1.921fb4cb2708bp+0", "0x1.feb4f9bdb1cc6p-1")},
+    },
+    "teleport-6dB": {
+        AS_PUBLISHED: {256: ("0x1.dfa644869e001p-36", "0x1.998b687da488fp-1"),
+                       4096: ("0x0.0p+0", "0x1.998b687da488fp-1")},
+        PURE_TARGET: {256: ("0x1.261aaae8f3ee0p-1", "0x1.f29717fe899cap-1"),
+                      4096: ("0x1.261aacd13f580p-1", "0x1.f29717fe899cap-1")},
+    },
+}
+
+
+@pytest.mark.parametrize("theta_points", [256, 4096])
+@pytest.mark.parametrize("mode", [AS_PUBLISHED, PURE_TARGET])
+def test_storage_floor_frozen_bits(mode, theta_points):
+    for rec in BENCHMARK_RECORDS:
+        rep = squeezed_storage_analysis(rec, theta_points, mode)
+        want = FROZEN_FLOORS[rec.label][mode][theta_points]
+        assert (rep.theta_min.hex(), rep.rhs_min.hex()) == want, rec.label
+
+
+# an output record inside the tolerance below the variance floor: its
+# pure_target fidelity 2/(1 + sqrt(xy)) would exceed 1
+BELOW_FLOOR = StorageRecord(
+    "below-floor", SqueezingRecord(-2.0, 6.0), SqueezingRecord(-3.0, 2.999999)
+)
+
+
+def test_pure_target_is_undefined_below_the_variance_floor():
+    x, y = BELOW_FLOOR.output_state.linear_pair
+    assert 1.0 - 1e-6 <= x * y < 1.0
+    with pytest.raises(ValueError, match="squeezing_db -3.0 and antisqueezing_db 2.999999"):
+        squeezed_storage_analysis(BELOW_FLOOR, 64, PURE_TARGET)
+    # the default mode still reports, and its note says why the other mode is
+    # undefined instead of quoting a fidelity above 1
+    rep = squeezed_storage_analysis(BELOW_FLOOR, 64)
+    assert rep.notes[0].startswith("mode pure_target is undefined for this record")
+    assert "below 1" in rep.notes[0] and "mean fidelity" not in rep.notes[0]
+
+
+def test_pure_target_keeps_an_output_that_rounds_below_the_floor():
+    # -d and +d dB give a product one ulp below 1 and a fidelity of exactly 1
+    rec = StorageRecord("pure", SqueezingRecord(0.0, 0.0), SqueezingRecord(-1.6875, 1.6875))
+    x, y = rec.output_state.linear_pair
+    assert x * y < 1.0
+    assert squeezed_storage_analysis(rec, 64, PURE_TARGET).a == 1.0
 
 
 def _last_accepted(make, lo, hi):

@@ -381,6 +381,18 @@ def test_oracle_check_rejects_negative_random_schemes(capsys):
     assert cap.out == ""
 
 
+def test_oracle_check_rejects_a_negative_seed_before_any_suite(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    for name in ("_scheme_suite", "_fock_suite", "_coherent_suite"):
+        monkeypatch.setattr(cli, name, forbidden)
+    code, cap = _run(capsys, [*SMALL_ORACLE_ARGV, "--seed", "-1"])
+    assert code == 2
+    assert cap.err == "error: --seed must be at least 0, got -1\n"
+    assert cap.out == ""
+
+
 SQUEEZED_FLAG_ARGV = [
     "squeezed", "--squeezing-in-db", "-2", "--antisqueezing-in-db", "6",
     "--squeezing-out-db", "-0.07", "--antisqueezing-out-db", "0.49",
@@ -553,6 +565,21 @@ def test_decisions_and_input_errors_start_without_numpy(tmp_path):
         with redirect_stdout(out), redirect_stderr(err):
             code = main(list(argv))
         assert (code, out.getvalue(), err.getvalue()) == fresh[tuple(argv)], argv
+
+
+def test_squeezed_pure_target_names_an_output_below_the_variance_floor(capsys):
+    # a variance product within the record's tolerance below 1 would give a
+    # pure_target fidelity above 1
+    argv = [*SQUEEZED_FLAG_ARGV[:6], "-3", "--antisqueezing-out-db", "2.999999"]
+    code, cap = _run(capsys, [*argv, "--mode", "pure_target"])
+    assert code == 2 and cap.out == ""
+    assert cap.err.startswith("error: mode pure_target is undefined for this record")
+    assert "squeezing_db -3.0 and antisqueezing_db 2.999999" in cap.err
+    assert len(cap.err.splitlines()) == 1
+    code, cap = _run(capsys, [*argv, "--theta-points", "64"])
+    assert code == 0
+    note = json.loads(cap.out)["notes"][0]
+    assert note.startswith("mode pure_target is undefined") and "mean fidelity" not in note
 
 
 def _largest_accepted_db(squeezing_db):

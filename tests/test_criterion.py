@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -181,6 +182,24 @@ def test_steep_chord_is_degenerate():
     # inclusive at slope**2 == B
     v = qd_criterion(FidelityPair(0.25, 0.75), 0.25)
     assert v.degenerate == _DEGENERATE_SLOPE
+
+
+@pytest.mark.parametrize("check", [qd_criterion, qd_criterion_numeric])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_marginal_band_includes_its_edge(monkeypatch, check, sign):
+    # A margin of exactly BOUNDARY_TOL is marginal.  The shipped 1e-9 has
+    # bits down to 2**-82, while lhs and rhs lie in [1/4, 1] whenever they
+    # are that close, so their exact difference is a multiple of 2**-54 and
+    # never equals it; a dyadic tolerance lets a float margin hit the edge.
+    tol = 2.0**-30
+    monkeypatch.setattr(criterion, "BOUNDARY_TOL", tol)
+    a = 0.75 + sign * tol  # rhs is exactly 0.75 for a flat chord at B = 0.75
+    v = check(FidelityPair(a, a), 0.75)
+    assert v.rhs == 0.75 and v.lhs - v.rhs == sign * tol
+    assert v.marginal
+    assert v.is_quantum_domain == (sign > 0.0)
+    out = math.nextafter(a, sign * math.inf)
+    assert not check(FidelityPair(out, out), 0.75).marginal
 
 
 def test_marginal_flag():
@@ -415,6 +434,120 @@ def test_minimize_bounded_matches_scipy_at_an_edge():
     x, fx = _minimize_bounded(func, lo, hi)
     assert 0.0 < hi - x < 1e-7  # within the sqrt(eps)-relative tolerance of hi
     assert _same_bits((x, fx), _scipy_bounded(func, lo, hi))
+
+
+def _reference_minimize_bounded(func, lo, hi):
+    # the loop as first ported from scipy, with sign(rat) * max(|rat|, tol1)
+    # written out, kept here to pin that every rewrite takes the same steps
+    sqrt_eps, golden_ratio = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+
+    def sign(x):
+        return -1.0 if x < 0.0 else 1.0
+
+    a, b = lo, hi
+    fulc = a + golden_ratio * (b - a)
+    nfc = xf = x = fulc
+    rat = e = 0.0
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + 1e-12 / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_ratio * e
+        x = xf + sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + 1e-12 / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
+
+
+def _steps(minimize, func, lo, hi):
+    # every point the search evaluates, and its result, as bits
+    seen = []
+
+    def logged(x):
+        seen.append(x.hex())
+        return func(x)
+
+    return seen, [v.hex() for v in minimize(logged, lo, hi)]
+
+
+def _objectives(rng):
+    c, k, w = rng.uniform(-2.0, 2.0), rng.uniform(0.1, 10.0), rng.uniform(0.5, 20.0)
+    yield lambda x: k * (x - c) ** 2
+    yield lambda x: abs(x - c)
+    yield lambda x: math.sin(w * x + c)
+    yield lambda x: (x - c) ** 4 - k * x
+    yield lambda x: math.floor(w * x) * c  # piecewise flat
+    yield lambda x: 0.0  # flat
+    yield lambda x: 0.0 * (x - c)  # flat, signed zeros
+    yield lambda x: math.nan  # NaN everywhere
+    yield lambda x: math.nan if x > c else (x - c) ** 2  # NaN on one side
+    yield lambda x: math.nan if int(x * 1e6) % 3 == 0 else math.cos(w * x)  # NaN here and there
+
+
+def test_minimize_bounded_takes_the_reference_steps():
+    rng = random.Random(29)
+    for _ in range(60):
+        lo = rng.uniform(-3.0, 1.0)
+        hi = lo + rng.choice([1e-9, 1e-3, 0.5, 4.0])
+        for func in _objectives(rng):
+            assert _steps(_minimize_bounded, func, lo, hi) == _steps(
+                _reference_minimize_bounded, func, lo, hi
+            )
+
+
+def test_minimize_bounded_stops_at_500_evaluations():
+    # the V of |x| over +-1e300 would need about 1500 golden steps to close
+    calls = []
+    x, fx = _minimize_bounded(lambda x: calls.append(x) or abs(x), -1e300, 1e300)
+    assert len(calls) == 500
+    assert x in calls and fx == abs(x) == min(map(abs, calls))
 
 
 unit = st.floats(0.0, 1.0)

@@ -8,10 +8,15 @@ under test.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdverify
 from qdverify.criterion import OverlapPair, classical_fidelity_bound, total_nonorthogonality
 from qdverify.mp_oracle import (
     COMPLETENESS_TOL,
@@ -342,6 +347,62 @@ def test_scheme_search_calls_no_linear_algebra(monkeypatch):
     optimize_scheme(0.5, 0.6, 0.7, resolution=2048, n_random=16, seed=3)
     scheme, _ = random_scheme_search(0.5, 0.6, 0.7, n_schemes=40, seed=5)
     assert scheme is not None
+
+
+# (gamma, gamma_prime, p_plus, seed) -> float.hex of the best value and of its
+# angles over 40 draws: the draws come from random.Random, whose stream Python
+# keeps fixed across versions, so these hold on every supported Python
+FROZEN_RANDOM = [
+    ((0.5, 0.6, 0.7, 5),
+     ("0x1.eb31edac8dd72p-1",
+      ("0x1.8a79c6d21986ap+2", "0x1.8f270ed9858e4p+1", "0x1.4e28840361c9bp+1"))),
+    ((0.3, 0.7, 0.62, 1234567),
+     ("0x1.f7c05e05b5cc4p-1",
+      ("0x1.993df26e8d6cdp+1", "0x1.8c75c697dca64p+2", "0x1.8c8ac4b42f778p-1"))),
+]
+
+
+@pytest.mark.parametrize("args, expected", FROZEN_RANDOM)
+def test_random_scheme_search_frozen_bits(args, expected):
+    *point, seed = args
+    scheme, value = random_scheme_search(*point, n_schemes=40, seed=seed)
+    assert (value.hex(), tuple(a.hex() for a in scheme.angles)) == expected
+
+
+@pytest.mark.parametrize("seed", [-1, -7, 1.5, 3.0, "3", None])
+def test_scheme_searches_reject_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        random_scheme_search(0.5, 0.6, 0.7, n_schemes=4, seed=seed)
+    for n_random in (0, 16):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            optimize_scheme(0.5, 0.6, 0.7, resolution=64, n_random=n_random, seed=seed)
+
+
+def test_seed_takes_any_integer_type():
+    # random.Random(-s) would draw what random.Random(s) draws, so a negative
+    # seed is refused above rather than folded; integer types all agree
+    want = random_scheme_search(0.5, 0.6, 0.7, n_schemes=8, seed=3)
+    assert random_scheme_search(0.5, 0.6, 0.7, n_schemes=8, seed=np.int64(3)) == want
+    assert random_scheme_search(0.5, 0.6, 0.7, n_schemes=8, seed=2**70)[1] > 0.5
+
+
+def test_scheme_search_leaves_numpy_random_unloaded():
+    # numpy.random costs several MB of memory in a fresh process; the grid
+    # scan needs numpy itself, the random draws nothing beyond the stdlib
+    code = (
+        "import sys\n"
+        "from qdverify.mp_oracle import optimize_scheme, random_scheme_search\n"
+        "optimize_scheme(0.5, 0.6, 0.7, resolution=2048, n_random=16, seed=3)\n"
+        "random_scheme_search(0.5, 0.6, 0.7, n_schemes=40, seed=5)\n"
+        "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(qdverify.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.split() == ["True", "False"]
 
 
 def test_optimize_scheme_resolution_floor():
