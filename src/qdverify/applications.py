@@ -35,6 +35,7 @@ from .criterion import (
     total_nonorthogonality,
 )
 from .gaussian import (
+    DET_TOL,
     SqueezingRecord,
     _input_overlap_sq,
     _overlap_fits,
@@ -148,10 +149,19 @@ class StorageRecord:
     output_state: SqueezingRecord
 
     def __post_init__(self) -> None:
-        # Every analysis scans the input's overlap with its rotated copy and,
-        # in the pure_target mode or in the note on it, the overlap of the
-        # output's nearest pure squeezed target.
-        if not _overlap_fits(*self.input_state.linear_pair, physical=True):
+        # The storage scan's one gate: its per-angle algebra checks nothing.
+        # Every analysis scans the overlap of the input, which must be a
+        # physical state, with its rotated copy and, in the pure_target mode
+        # or in the note on it, the overlap of the output's nearest pure
+        # squeezed target.
+        x, y = self.input_state.linear_pair
+        if x * y < 1.0 - DET_TOL:
+            raise ValueError(
+                f"input squeezing_db {self.input_state.squeezing_db!r} and "
+                f"antisqueezing_db {self.input_state.antisqueezing_db!r} give a "
+                f"variance product {x * y!r} below 1: the input state is unphysical"
+            )
+        if not _overlap_fits(x, y, physical=True):
             raise ValueError(
                 f"input squeezing_db {self.input_state.squeezing_db!r} and "
                 f"antisqueezing_db {self.input_state.antisqueezing_db!r} "
@@ -203,33 +213,37 @@ BENCHMARK_RECORDS: tuple[StorageRecord, ...] = (
 def _mode_inputs(rec: StorageRecord, mode: str) -> tuple[float, tuple[float, float]]:
     """Per-mode shared fidelity and the variance pair behind gamma_prime.
 
-    The pure_target mode credits the output's projection 2 / (1 + sqrt(x y))
-    onto its nearest pure target, which is undefined (above 1) when the
-    output variances fall below the floor x y = 1 by more than rounding, as
-    the record's tolerance allows.
+    Each mode credits one state's 2 / (1 + sqrt(x y)): as_published the
+    input's, pure_target the output's projection onto its nearest pure
+    target.  That fidelity is undefined (above 1) when the state's variances
+    fall below the floor x y = 1 by more than rounding, as the records'
+    tolerances allow.
     """
     out = rec.output_state
     if mode == AS_PUBLISHED:
-        (x, y), target = rec.input_state.linear_pair, out.linear_pair
+        name, state, target = "input", rec.input_state, out.linear_pair
     elif mode == PURE_TARGET:
-        (x, y), target = out.linear_pair, out.pure_target_pair
+        name, state, target = "output", out, out.pure_target_pair
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    x, y = state.linear_pair
     fid = 2.0 / (1.0 + math.sqrt(x * y))
-    if fid > 1.0 and mode == PURE_TARGET:
+    if fid > 1.0:
         raise ValueError(
-            f"mode pure_target is undefined for this record: output squeezing_db "
-            f"{out.squeezing_db!r} and antisqueezing_db {out.antisqueezing_db!r} give "
+            f"mode {mode} is undefined for this record: {name} squeezing_db "
+            f"{state.squeezing_db!r} and antisqueezing_db {state.antisqueezing_db!r} give "
             f"a variance product {x * y!r} below 1, so its fidelity 2/(1 + sqrt(product)) "
             f"would be {fid!r}, above 1"
         )
     return fid, target
 
 
-def _overlaps(input_pair, target_pair, cos2t, sqrt, maximum):
+def _overlaps(input_pair, target_pair, cos2t, sqrt, maximum, minimum):
     # (gamma_sq, gamma_prime_sq, B) at cos2t = cos(2 theta), either in numpy
-    # on arrays or in math on one angle, which gives the same bits.
-    g_sq = _input_overlap_sq(*input_pair, cos2t, sqrt)
+    # on arrays or in math on one angle, which gives the same bits.  Where
+    # gamma_sq is exactly 1 (theta = 0, or equal variances) it can round to
+    # 1 + 2**-52, which would lift B above 1 under a vanishing gamma_prime_sq.
+    g_sq = minimum(_input_overlap_sq(*input_pair, cos2t, sqrt), 1.0)
     gp_sq = _target_overlap_sq(*target_pair, cos2t, sqrt)
     return g_sq, gp_sq, maximum((1.0 - gp_sq) * g_sq, 0.0)
 
@@ -239,13 +253,15 @@ def _curves(input_pair, target_pair, thetas):
     import numpy as np
 
     cos2t = np.cos(2.0 * np.asarray(thetas))
-    g_sq, gp_sq, nonorth = _overlaps(input_pair, target_pair, cos2t, np.sqrt, np.maximum)
+    g_sq, gp_sq, nonorth = _overlaps(
+        input_pair, target_pair, cos2t, np.sqrt, np.maximum, np.minimum
+    )
     return g_sq, gp_sq, nonorth, _bound(nonorth, 0.5, np.sqrt)
 
 
 def _nonorth_at(input_pair, target_pair, theta: float) -> float:
     """B at one angle in scalar math: ``float(_curves(...)[2])`` to the bit."""
-    return _overlaps(input_pair, target_pair, math.cos(2.0 * theta), math.sqrt, max)[2]
+    return _overlaps(input_pair, target_pair, math.cos(2.0 * theta), math.sqrt, max, min)[2]
 
 
 def _floor_at(input_pair, target_pair, theta: float) -> float:

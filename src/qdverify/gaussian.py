@@ -14,6 +14,13 @@ state pairs that :mod:`qdverify.applications` scans over.  Only those
 curves, which take arrays of angles, import numpy.  The matching
 truncated number-basis computations live in :mod:`qdverify.fock_oracle`
 and validate each formula in the test suite.
+
+The public functions check the variances they are given.  The private
+per-angle helpers (``_input_overlap_sq``, ``_target_overlap_sq`` and
+``_rotation_spread``) check nothing: they take pairs that a
+:class:`SqueezingRecord`, and the storage record built from it, have
+already checked, and are written with positive terms only so that no
+step cancels.
 """
 
 from __future__ import annotations
@@ -96,7 +103,9 @@ class SqueezingRecord:
         v1, v2 = self.linear_pair
         if v1 * v2 < 1.0 - 1e-6:
             raise ValueError(
-                f"variance product {v1 * v2!r} below 1: record is unphysical"
+                f"squeezing_db {self.squeezing_db!r} and antisqueezing_db "
+                f"{self.antisqueezing_db!r} give a variance product {v1 * v2!r} "
+                f"below 1: record is unphysical"
             )
         if not _overlap_fits(v1, v2, physical=False):
             raise ValueError(
@@ -111,7 +120,7 @@ class SqueezingRecord:
     @property
     def pure_target_pair(self) -> tuple[float, float]:
         """Variances e**(2r), e**(-2r) of the nearest pure squeezed vacuum."""
-        r = optimal_target_squeezing(*self.linear_pair)
+        r = _target_squeezing(*self.linear_pair)
         return math.exp(2.0 * r), math.exp(-2.0 * r)
 
 
@@ -174,6 +183,10 @@ def optimal_target_squeezing(x_var: float, y_var: float) -> float:
     2 / (1 + sqrt(x_var * y_var)).
     """
     _check_variances(x_var, y_var, physical=False)
+    return _target_squeezing(x_var, y_var)
+
+
+def _target_squeezing(x_var: float, y_var: float) -> float:
     return 0.25 * math.log(x_var / y_var)
 
 
@@ -186,6 +199,7 @@ def input_overlap_sq(x_var, y_var, theta):
     """
     import numpy as np
 
+    _check_variances(x_var, y_var, physical=True)
     return _input_overlap_sq(x_var, y_var, np.cos(2.0 * np.asarray(theta)), np.sqrt)
 
 
@@ -199,20 +213,22 @@ def target_overlap_sq(x_var, y_var, theta):
     """
     import numpy as np
 
+    _check_variances(x_var, y_var, physical=False)
     return _target_overlap_sq(x_var, y_var, np.cos(2.0 * np.asarray(theta)), np.sqrt)
 
 
 # The two overlaps at cos2t = cos(2 theta), with the caller's numpy sqrt, so
 # that a scan computes the cosine once per angle and imports numpy once.
+# Neither checks its pair.  The input overlap is 2 / (sqrt(p**2 + s + 1) - p
+# + 1) with p = x_var * y_var and s the spread, its root difference written
+# as (s + 1) / (sqrt(p**2 + s + 1) + p) so that nothing cancels.
 def _input_overlap_sq(x_var, y_var, cos2t, sqrt):
-    _check_variances(x_var, y_var, physical=True)
     prod = x_var * y_var
     spread = _rotation_spread(x_var, y_var, cos2t)
-    return 2.0 / (sqrt(prod * prod + spread + 1.0) - prod + 1.0)
+    return 2.0 / ((spread + 1.0) / (sqrt(prod * prod + spread + 1.0) + prod) + 1.0)
 
 
 def _target_overlap_sq(x_var, y_var, cos2t, sqrt):
-    _check_variances(x_var, y_var, physical=False)
     return 2.0 / sqrt(2.0 + _rotation_spread(x_var, y_var, cos2t))
 
 
@@ -222,19 +238,22 @@ def _overlap_fits(x_var: float, y_var: float, *, physical: bool) -> bool:
     Both overlaps grow with the rotation spread, which peaks at
     cos(2 theta) = -1, and the input overlap (``physical``) adds
     (x_var * y_var)**2 + 1 to it; the sums are taken in the same order.
+    An overflow at any step leaves the result infinite or NaN.
     """
-    try:
-        worst = _rotation_spread(x_var, y_var, -1.0)
-        if physical:
-            prod = x_var * y_var
-            worst = prod * prod + worst + 1.0
-        return math.isfinite(worst)
-    except OverflowError:
-        return False
+    worst = _rotation_spread(x_var, y_var, -1.0)
+    if physical:
+        prod = x_var * y_var
+        worst = prod * prod + worst + 1.0
+    return math.isfinite(worst)
 
 
 def _rotation_spread(x_var, y_var, cos2t):
-    return 0.5 * ((x_var + y_var) ** 2 - (x_var - y_var) ** 2 * cos2t)
+    # ((x + y)**2 - (x - y)**2 cos2t) / 2 in positive terms: at cos2t = 1 it
+    # is 2 x y, which the difference of squares loses once x / y nears 1/eps
+    return 0.5 * (
+        (x_var * x_var + y_var * y_var) * (1.0 - cos2t)
+        + 2.0 * x_var * y_var * (1.0 + cos2t)
+    )
 
 
 def _check_variances(x_var: float, y_var: float, *, physical: bool) -> None:

@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdverify.applications import (
@@ -22,6 +23,7 @@ from qdverify.applications import (
     squeezed_storage_analysis,
     teleport_two_state_check,
 )
+from qdverify import gaussian
 from qdverify.criterion import FidelityPair
 from qdverify.gaussian import SqueezingRecord, db_to_linear, input_overlap_sq, target_overlap_sq
 
@@ -233,25 +235,25 @@ def test_scalar_storage_objective_keeps_the_bits_of_the_numpy_curves(
 FROZEN_FLOORS = {
     "storage-2dB": {
         AS_PUBLISHED: {256: ("0x1.6077c7fe5c318p-24", "0x1.fcd99e6fe4cdbp-1"),
-                       4096: ("0x1.1b065d497e741p-24", "0x1.fcd99e6fe4cdbp-1")},
+                       4096: ("0x0.0p+0", "0x1.fcd99e6fe4cdbp-1")},
         PURE_TARGET: {256: ("0x1.921fb54442d18p+0", "0x1.ffd74c207d78dp-1"),
                       4096: ("0x1.921fb54442d18p+0", "0x1.ffd74c207d78dp-1")},
     },
     "storage-1.2dB": {
-        AS_PUBLISHED: {256: ("0x1.b53f708c1be71p-23", "0x1.fa60cddf249cap-1"),
-                       4096: ("0x1.1b7798b0809a3p-23", "0x1.fa60cddf249cap-1")},
+        AS_PUBLISHED: {256: ("0x1.4e071ef1f8ad2p-23", "0x1.fa60cddf249cap-1"),
+                       4096: ("0x1.753ee8221ffe6p-23", "0x1.fa60cddf249cap-1")},
         PURE_TARGET: {256: ("0x1.921fb4ac9b981p+0", "0x1.ff3f1fd17a920p-1"),
-                      4096: ("0x1.921fb4ae03d36p+0", "0x1.ff3f1fd17a920p-1")},
+                      4096: ("0x1.921fb491ef666p+0", "0x1.ff3f1fd17a920p-1")},
     },
     "storage-1.9dB": {
-        AS_PUBLISHED: {256: ("0x1.2ac4189b87035p-25", "0x1.f7723a9c17ca4p-1"),
-                       4096: ("0x1.b11a495c45d79p-25", "0x1.f7723a9c17ca4p-1")},
+        AS_PUBLISHED: {256: ("0x1.63d319ac01d10p-25", "0x1.f7723a9c17ca4p-1"),
+                       4096: ("0x0.0p+0", "0x1.f7723a9c17ca4p-1")},
         PURE_TARGET: {256: ("0x1.921fb4d2d49ebp+0", "0x1.feb4f9bdb1cc6p-1"),
                       4096: ("0x1.921fb4cb2708bp+0", "0x1.feb4f9bdb1cc6p-1")},
     },
     "teleport-6dB": {
-        AS_PUBLISHED: {256: ("0x1.dfa644869e001p-36", "0x1.998b687da488fp-1"),
-                       4096: ("0x0.0p+0", "0x1.998b687da488fp-1")},
+        AS_PUBLISHED: {256: ("0x1.af1523e524dd1p-29", "0x1.998b687da488bp-1"),
+                       4096: ("0x0.0p+0", "0x1.998b687da488bp-1")},
         PURE_TARGET: {256: ("0x1.261aaae8f3ee0p-1", "0x1.f29717fe899cap-1"),
                       4096: ("0x1.261aacd13f580p-1", "0x1.f29717fe899cap-1")},
     },
@@ -265,6 +267,122 @@ def test_storage_floor_frozen_bits(mode, theta_points):
         rep = squeezed_storage_analysis(rec, theta_points, mode)
         want = FROZEN_FLOORS[rec.label][mode][theta_points]
         assert (rep.theta_min.hex(), rep.rhs_min.hex()) == want, rec.label
+
+
+def _reference(input_pair, target_pair, cos2t):
+    """``(gamma_sq, gamma_prime_sq, B, floor)`` to 50 digits at cos(2 theta).
+
+    The pairs and ``cos2t`` are taken as exact.  Every step is written with
+    positive terms (the input overlap's root difference rationalised), so
+    50 working digits give far more than double precision at any dB value.
+    """
+    with mpmath.workdps(50):
+        c = mpmath.mpf(cos2t)
+
+        def spread(x, y):
+            x, y = mpmath.mpf(x), mpmath.mpf(y)
+            return ((x * x + y * y) * (1 - c) + 2 * x * y * (1 + c)) / 2
+
+        x, y = input_pair
+        p, s = mpmath.mpf(x) * mpmath.mpf(y), spread(x, y)
+        g_sq = 2 / ((s + 1) / (mpmath.sqrt(p * p + s + 1) + p) + 1)
+        gp_sq = 2 / mpmath.sqrt(2 + spread(*target_pair))
+        nonorth = max((1 - gp_sq) * g_sq, 0)
+        return g_sq, gp_sq, nonorth, (1 + mpmath.sqrt(1 - nonorth)) / 2
+
+
+def _reference_floor_at(input_pair, target_pair, theta):
+    with mpmath.workdps(50):
+        return _reference(input_pair, target_pair, mpmath.cos(2 * mpmath.mpf(theta)))[3]
+
+
+def _ulps(value, exact, scale=None):
+    """|value - exact| in units in the last place of ``scale`` (default exact)."""
+    with mpmath.workdps(50):
+        return float(abs(mpmath.mpf(value) - exact)) / math.ulp(float(scale or exact))
+
+
+@pytest.mark.parametrize("theta_points", [256, 4096])
+@pytest.mark.parametrize("mode", [AS_PUBLISHED, PURE_TARGET])
+def test_storage_floor_pins_lie_within_an_ulp_of_the_50_digit_floor(mode, theta_points):
+    for rec in BENCHMARK_RECORDS:
+        theta, rhs = (float.fromhex(v) for v in FROZEN_FLOORS[rec.label][mode][theta_points])
+        exact = _reference_floor_at(rec.input_state.linear_pair, _mode_inputs(rec, mode)[1], theta)
+        assert _ulps(rhs, exact) <= 1.0, rec.label
+
+
+# Squeezing records far past any lab, in dB: the per-angle algebra must not
+# cancel anywhere the records' gate lets a pair through.
+WIDE_SQUEEZING = st.builds(
+    lambda sq, excess: SqueezingRecord(sq, excess - sq),
+    st.floats(-150.0, 0.0), st.floats(0.0, 300.0),
+)
+ANGLES = st.one_of(st.sampled_from([0.0, 0.5 * math.pi]), st.floats(0.0, 1e-6),
+                   st.floats(0.0, 0.5 * math.pi))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(WIDE_SQUEEZING, WIDE_SQUEEZING, st.sampled_from([AS_PUBLISHED, PURE_TARGET]), ANGLES)
+def test_storage_curves_lie_within_4_ulp_of_the_50_digit_reference(
+    state_in, state_out, mode, theta
+):
+    rec = StorageRecord("session", state_in, state_out)
+    try:
+        target_pair = _mode_inputs(rec, mode)[1]
+    except ValueError:  # an output that rounds below the floor: mode undefined
+        return
+    input_pair = rec.input_state.linear_pair
+    g_sq, gp_sq, nonorth, floor = (float(v) for v in _curves(input_pair, target_pair, theta))
+    # the reference takes the cosine that the scan itself uses
+    ref = _reference(input_pair, target_pair, math.cos(2.0 * theta))
+    assert _ulps(g_sq, ref[0]) <= 4.0
+    assert _ulps(gp_sq, ref[1]) <= 4.0
+    # B = gamma_sq (1 - gamma_prime_sq), whose second factor cancels as
+    # gamma_prime_sq nears 1: its error is counted in ulps of gamma_sq
+    assert _ulps(nonorth, ref[2], scale=ref[0]) <= 4.0
+    # the floor's own step, from the B it is given; near B = 1 it magnifies
+    # B's error, which the line above bounds
+    with mpmath.workdps(50):
+        assert _ulps(floor, (1 + mpmath.sqrt(1 - mpmath.mpf(nonorth))) / 2) <= 4.0
+
+
+# nearly pure inputs squeezed hard, against mixed outputs: the records whose
+# floor sits lowest, where a cancelling overlap turned into a false "yes"
+PURE_INPUT = st.builds(
+    lambda sq, excess: SqueezingRecord(sq, excess - sq),
+    st.floats(-100.0, 0.0), st.floats(0.0, 3.0),
+)
+MIXED_OUTPUT = st.builds(
+    lambda sq, excess: SqueezingRecord(sq, excess - sq),
+    st.floats(-20.0, 0.0), st.floats(0.0, 30.0),
+)
+# its input overlap is exactly 1 at theta = 0, where a difference-of-squares
+# spread cancels; the floor there read 0.94292 and certified a = 0.95984
+DEEP_RECORD = StorageRecord(
+    "deep", SqueezingRecord(-84.2838210663373, 84.9817962454766),
+    SqueezingRecord(-7.40771573989719, 9.839240478885376),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(PURE_INPUT, MIXED_OUTPUT, st.sampled_from([AS_PUBLISHED, PURE_TARGET]))
+@example(DEEP_RECORD.input_state, DEEP_RECORD.output_state, AS_PUBLISHED)
+def test_no_yes_verdict_where_the_50_digit_floor_reaches_the_fidelity(
+    state_in, state_out, mode
+):
+    rec = StorageRecord("session", state_in, state_out)
+    try:
+        rep = squeezed_storage_analysis(rec, 64, mode)
+    except ValueError:  # a credited state that rounds below the floor
+        return
+    if rep.verdict.is_quantum_domain:
+        # at the angle whose cosine the scan used: below theta ~ 1e-8,
+        # cos(2 theta) rounds to 1 and the algebra sees theta = 0
+        exact = _reference(
+            rec.input_state.linear_pair, _mode_inputs(rec, mode)[1],
+            math.cos(2.0 * rep.theta_min),
+        )[3]
+        assert rep.lhs > exact
 
 
 # an output record inside the tolerance below the variance floor: its
@@ -286,12 +404,63 @@ def test_pure_target_is_undefined_below_the_variance_floor():
     assert "below 1" in rep.notes[0] and "mean fidelity" not in rep.notes[0]
 
 
+def test_storage_record_refuses_an_input_below_the_physical_floor():
+    # the record's own tolerance is 1e-6; an input must meet 1 - DET_TOL
+    state = SqueezingRecord(-3.0, 2.9999999)
+    x, y = state.linear_pair
+    assert 1.0 - 1e-6 <= x * y < 1.0 - gaussian.DET_TOL
+    with pytest.raises(ValueError, match=(
+        r"^input squeezing_db -3.0 and antisqueezing_db 2.9999999 give a variance "
+        r"product 0.9999999769741493 below 1: the input state is unphysical$"
+    )):
+        StorageRecord("lab", state, SqueezingRecord(-0.07, 0.49))
+    StorageRecord("lab", SqueezingRecord(-0.07, 0.49), state)  # fine as an output
+
+
+def test_as_published_is_undefined_for_an_input_just_below_the_floor():
+    # inside DET_TOL below 1, the input passes the record but its fidelity
+    # 2/(1 + sqrt(xy)) would exceed 1
+    rec = StorageRecord("lab", SqueezingRecord(-3.0, 2.99999999999), SqueezingRecord(-0.07, 0.49))
+    x, y = rec.input_state.linear_pair
+    assert 1.0 - gaussian.DET_TOL <= x * y < 1.0
+    with pytest.raises(ValueError, match=(
+        "^mode as_published is undefined for this record: input squeezing_db -3.0 "
+        "and antisqueezing_db 2.99999999999 give"
+    )):
+        squeezed_storage_analysis(rec, 64)
+    rep = squeezed_storage_analysis(rec, 64, PURE_TARGET)
+    assert rep.notes[0].startswith("mode as_published is undefined for this record")
+    assert "mean fidelity" not in rep.notes[0]
+
+
 def test_pure_target_keeps_an_output_that_rounds_below_the_floor():
     # -d and +d dB give a product one ulp below 1 and a fidelity of exactly 1
     rec = StorageRecord("pure", SqueezingRecord(0.0, 0.0), SqueezingRecord(-1.6875, 1.6875))
     x, y = rec.output_state.linear_pair
     assert x * y < 1.0
     assert squeezed_storage_analysis(rec, 64, PURE_TARGET).a == 1.0
+
+
+def test_the_storage_scan_checks_no_variances(monkeypatch):
+    # StorageRecord is the one gate: the per-angle algebra trusts its pairs
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    check = gaussian._check_variances
+    monkeypatch.setattr(gaussian, "_check_variances", counting)
+    for mode in (AS_PUBLISHED, PURE_TARGET):
+        for rec in (*BENCHMARK_RECORDS, BELOW_FLOOR):
+            try:
+                squeezed_storage_analysis(rec, 64, mode)
+            except ValueError:
+                pass  # BELOW_FLOOR in pure_target; its refusal is tested above
+        benchmark_table(64, mode)
+    assert calls == []
+    input_overlap_sq(1.0, 1.0, 0.3)  # the public helpers still check, once
+    assert len(calls) == 1
 
 
 def _last_accepted(make, lo, hi):

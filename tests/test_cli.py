@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdverify
@@ -619,6 +619,39 @@ def test_squeezed_rejects_a_record_whose_overlap_overflows(capsys):
     )
 
 
+@pytest.mark.parametrize("antisqueezing, why", [
+    # below the input's physical floor 1 - 1e-9, though within the 1e-6 that
+    # a lone squeezing record allows
+    ("2.9999999", "give a variance product 0.9999999769741493 below 1: "
+                  "the input state is unphysical"),
+    # within 1e-9 below 1: physical, but the fidelity credited to the input
+    ("2.99999999999", "give a variance product 0.9999999999976974 below 1, so its"),
+])
+def test_squeezed_names_an_input_below_the_variance_floor(capsys, antisqueezing, why):
+    argv = ["squeezed", "--squeezing-in-db", "-3", "--antisqueezing-in-db", antisqueezing,
+            "--squeezing-out-db", "-0.07", "--antisqueezing-out-db", "0.49"]
+    code, cap = _run(capsys, argv)
+    assert code == 2 and cap.out == ""
+    assert len(cap.err.splitlines()) == 1 and cap.err.startswith("error: ")
+    assert f"input squeezing_db -3.0 and antisqueezing_db {antisqueezing} {why}" in cap.err
+
+
+def test_squeezed_deep_squeezing_that_misses_the_bound_is_a_no(capsys):
+    # input squeezed by 84 dB: its overlap is exactly 1 at zero rotation, so
+    # the floor there is (1 + sqrt(gamma_prime_sq)) / 2 = 0.96172 (80 digits),
+    # above the credited fidelity 0.95984, and the pair must not be certified
+    code, cap = _run(capsys, [
+        "squeezed", "--squeezing-in-db", "-84.2838210663373",
+        "--antisqueezing-in-db", "84.9817962454766",
+        "--squeezing-out-db", "-7.40771573989719",
+        "--antisqueezing-out-db", "9.839240478885376",
+    ])
+    assert code == 0 and cap.err == ""
+    report = json.loads(cap.out)
+    assert report["rhs_min"] == 0.9617172761386226 and report["theta_min"] == 0.0
+    assert report["verdict"]["is_quantum_domain"] is False
+
+
 def test_argparse_exits_map_to_codes(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
@@ -640,6 +673,27 @@ def _flags(required, optional, values=edge_floats):
 
 
 NONORTH = ("--B", "--gamma", "--gamma-prime")
+MODES = st.sampled_from(["as_published", "pure_target"])
+# (squeezing, antisqueezing) in dB: anywhere up to +-2000, or with an excess
+# near 0 (the variance floor) or up to 30 dB
+DB_PAIRS = st.one_of(
+    st.tuples(st.floats(-2000.0, 2000.0), st.floats(-2000.0, 2000.0)),
+    st.builds(
+        lambda sq, excess: (sq, excess - sq),
+        st.floats(-2000.0, 0.0), st.one_of(st.floats(-1e-6, 1e-6), st.floats(0.0, 30.0)),
+    ),
+)
+SQUEEZED_ARGV = st.tuples(
+    st.just("squeezed"),
+    st.builds(
+        lambda into, out, mode: {
+            "--squeezing-in-db": into[0], "--antisqueezing-in-db": into[1],
+            "--squeezing-out-db": out[0], "--antisqueezing-out-db": out[1],
+            "--mode": mode, "--theta-points": 64,
+        },
+        DB_PAIRS, DB_PAIRS, MODES,
+    ),
+)
 GENERATED_ARGV = st.one_of(
     st.tuples(
         st.just("criterion"),
@@ -658,14 +712,45 @@ GENERATED_ARGV = st.one_of(
         ).map(lambda pair: {**pair[0], **pair[1]}),
     ),
     st.tuples(st.just("coherent"), _flags(("--alpha", "--eta", "--a", "--b"), ())),
+    SQUEEZED_ARGV,
+    st.tuples(
+        st.just("table1"),
+        st.fixed_dictionaries({"--theta-points": st.integers(-5, 300), "--mode": MODES}),
+    ),
 )
+
+
+def _check_generated(case):
+    # a report whose numbers are all finite, or one error line; a numpy
+    # RuntimeWarning fails the run under the suite's warning filter
+    command, flags = case
+    argv = [command, *(f"{flag}={value if isinstance(value, str) else repr(value)}"
+                       for flag, value in flags.items())]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+    else:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(f"{name} in report"))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(GENERATED_ARGV)
 def test_main_only_exits_0_2_or_3_on_generated_argv(case):
-    command, flags = case
-    argv = [command, *(f"{flag}={value!r}" for flag, value in flags.items())]
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        code = main(argv)
-    assert code in (0, 2, 3)
+    _check_generated(case)
+
+
+# the storage scan's records are where the overlap algebra meets extreme
+# floats, so they get a run of their own
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(SQUEEZED_ARGV)
+@example(("squeezed", {  # the difference-of-squares spread went negative here
+    "--squeezing-in-db": 3.0, "--antisqueezing-in-db": 1500.0,
+    "--squeezing-out-db": 3.0, "--antisqueezing-out-db": 6.0, "--theta-points": 64,
+}))
+def test_squeezed_exits_0_or_2_on_generated_records(case):
+    _check_generated(case)

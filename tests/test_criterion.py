@@ -308,6 +308,14 @@ def test_legendre_conjugate_frozen(lam, expected):
     assert legendre_conjugate(0.25, lam) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("B", [0.25, 0.5, 0.685162315268617, 0.7133686602286315, 1.0])
+def test_legendre_conjugate_at_the_top_of_the_derivative_range(B):
+    # lam == B is the endpoint p_plus = 1, where the conjugate is B - 1
+    # exactly; the tangency prior there rounds to just below 1 (and at B = 1
+    # does not exist), so the interior formula would miss that value
+    assert legendre_conjugate(B, B) == B - 1.0
+
+
 def test_legendre_conjugate_matches_grid():
     rng = np.random.default_rng(23)
     ps = np.linspace(0.5, 1.0, 20001)

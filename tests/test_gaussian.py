@@ -237,8 +237,12 @@ def test_squeezing_record():
     v1, v2 = rec.linear_pair
     assert v1 == pytest.approx(0.6309573444801932)
     assert v2 == pytest.approx(3.9810717055349722)
-    with pytest.raises(ValueError):
-        SqueezingRecord(-3.0, 2.0)  # product 10**-0.1, below shot noise
+    # product 10**-0.1, below shot noise
+    with pytest.raises(ValueError, match=(
+        r"^squeezing_db -3.0 and antisqueezing_db 2.0 give a variance product "
+        r"0.79\d* below 1: record is unphysical$"
+    )):
+        SqueezingRecord(-3.0, 2.0)
 
 
 @pytest.mark.parametrize("field", ["squeezing_db", "antisqueezing_db"])
