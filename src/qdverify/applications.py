@@ -296,6 +296,10 @@ def squeezed_storage_analysis(
         thetas[k], rhs[k],
     )
     theta_min, rhs_min = float(x), float(fx)
+    if math.cos(2.0 * theta_min) == 1.0:
+        # the curves see theta only through cos 2 theta, so such an angle
+        # computes the theta = 0 floor; report the angle where it holds
+        theta_min = 0.0
 
     pair = FidelityPair(fid, fid)
     verdict = qd_criterion(pair, _nonorth_at(input_pair, target_pair, theta_min))

@@ -252,7 +252,7 @@ FROZEN_FLOORS = {
                       4096: ("0x1.921fb4cb2708bp+0", "0x1.feb4f9bdb1cc6p-1")},
     },
     "teleport-6dB": {
-        AS_PUBLISHED: {256: ("0x1.af1523e524dd1p-29", "0x1.998b687da488bp-1"),
+        AS_PUBLISHED: {256: ("0x0.0p+0", "0x1.998b687da488bp-1"),
                        4096: ("0x0.0p+0", "0x1.998b687da488bp-1")},
         PURE_TARGET: {256: ("0x1.261aaae8f3ee0p-1", "0x1.f29717fe899cap-1"),
                       4096: ("0x1.261aacd13f580p-1", "0x1.f29717fe899cap-1")},
@@ -383,6 +383,20 @@ def test_no_yes_verdict_where_the_50_digit_floor_reaches_the_fidelity(
             math.cos(2.0 * rep.theta_min),
         )[3]
         assert rep.lhs > exact
+
+
+def test_theta_min_is_zero_where_its_cosine_rounds_to_one():
+    # refinement stopped at theta ~ 3.2e-9, where cos(2 theta) rounds to 1 and
+    # the scan computes the theta = 0 floor; the 50-digit floor at 3.2e-9
+    # itself is 0.971578, above lhs
+    rec = StorageRecord("deep", SqueezingRecord(-84.0, 84.5), SqueezingRecord(0.0, 2.0))
+    rep = squeezed_storage_analysis(rec, 64, AS_PUBLISHED)
+    assert rep.theta_min == 0.0
+    assert rep.rhs_min == 0.9689395394271055 and rep.verdict.is_quantum_domain
+    exact = _reference_floor_at(
+        rec.input_state.linear_pair, _mode_inputs(rec, AS_PUBLISHED)[1], rep.theta_min
+    )
+    assert _ulps(rep.rhs_min, exact) <= 1.0
 
 
 # an output record inside the tolerance below the variance floor: its

@@ -337,7 +337,7 @@ def test_oracle_check_rejects_empty_suites(capsys, flags):
 
 
 CRITERION_ARGV = ["criterion", "--a", "0.93", "--b", "0.95", "--B", "0.25"]
-SMALL_ORACLE_ARGV = ["oracle-check", "--grid-size", "1", "--pairs", "1", "--dim", "40"]
+SMALL_ORACLE_ARGV = ["oracle-check", "--grid-size", "1", "--pairs", "1", "--dim", "80"]
 
 
 @pytest.mark.parametrize("base", [CRITERION_ARGV, SMALL_ORACLE_ARGV])
@@ -506,6 +506,33 @@ def test_import_loads_no_scipy():
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
 
+def test_cli_import_loads_the_modules_perfbench_times():
+    src = str(Path(qdverify.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, qdverify.cli; "
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'qdverify'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    want = ["qdverify", "qdverify.applications", "qdverify.cli", "qdverify.criterion",
+            "qdverify.fock_oracle", "qdverify.gaussian", "qdverify.mp_oracle"]
+    assert out.stdout.split() == want, (
+        "perfbench/run.py --trace 1, which CI's benchmark smoke step runs, reads the "
+        "import time of criterion, applications, mp_oracle and fock_oracle from "
+        "`import qdverify.cli` and stops with a KeyError on a module it did not load"
+    )
+
+
+def test_oracle_check_leaves_numpy_random_unloaded(tmp_path):
+    # the Fock pairs come from the stdlib's random, as the scheme draws do
+    code, out, err, loaded = _fresh_cli(SMALL_ORACLE_ARGV, tmp_path)
+    assert code == 0 and json.loads(out)["passed"] is True, err
+    assert "numpy" in loaded and "numpy.random" not in loaded
+
+
 def _fresh_cli(argv, cwd):
     """Run ``python -X importtime -m qdverify.cli argv`` in a fresh process.
 
@@ -556,6 +583,8 @@ def test_decisions_and_input_errors_start_without_numpy(tmp_path):
             assert code == expected, (argv, err)
             assert ("numpy" in loaded) is needs_numpy, argv
             assert not any(m.split(".")[0] == "scipy" for m in loaded), argv
+            # no command runs the quadrature bounds
+            assert "qdverify.quadrature_bounds" not in loaded, argv
             fresh[tuple(argv)] = (code, out, err)
     # One process that alternates between the two kinds writes the same bytes.
     order = [case for pair in zip(no_numpy, with_numpy) for case in pair]

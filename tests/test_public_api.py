@@ -2,6 +2,11 @@
 names dropped from it stay dropped."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,3 +59,31 @@ def test_removed_names_stay_gone(module, path):
     for part in parents:
         owner = getattr(owner, part)
     assert not hasattr(owner, leaf)
+
+
+def test_each_export_is_its_home_modules_object():
+    for module, names in qdverify._EXPORTS.items():
+        home = importlib.import_module(f"qdverify.{module}")
+        for name in names:
+            assert getattr(qdverify, name) is getattr(home, name), name
+    assert set(qdverify.__all__) <= set(dir(qdverify))
+
+
+def test_import_loads_no_submodule_until_a_name_is_used():
+    # each public name imports its home module on first use, and only that one
+    code = (
+        "import json, sys\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('qdverify', 'numpy'))\n"
+        "import qdverify\n"
+        "bare = loaded()\n"
+        "qdverify.qd_criterion\n"
+        "print(json.dumps([bare, loaded()]))\n"
+    )
+    src = str(Path(qdverify.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert json.loads(run.stdout) == [["qdverify"], ["qdverify", "qdverify.criterion"]]
