@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .criterion import (
@@ -31,6 +30,7 @@ from .criterion import (
     Verdict,
     _bound,
     _refine,
+    _Value,
     qd_criterion,
     total_nonorthogonality,
 )
@@ -72,14 +72,14 @@ TELEPORT_NONORTH = 0.25
 MIN_THETA_POINTS = 64
 
 
-@dataclass(frozen=True)
-class CoherentTask:
+class CoherentTask(_Value):
     """Binary coherent probe |+alpha>, |-alpha> through transmission eta."""
 
     alpha: float
     eta: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, alpha: float, eta: float) -> None:
+        self.__dict__.update(alpha=alpha, eta=eta)
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError("alpha must be positive")
         if not math.isfinite(self.alpha * self.alpha):
@@ -140,15 +140,17 @@ def teleport_two_state_check(f: FidelityPair) -> Verdict:
     return qd_criterion(f, TELEPORT_NONORTH)
 
 
-@dataclass(frozen=True)
-class StorageRecord:
+class StorageRecord(_Value):
     """Measured squeezing of one storage run: state in, state out."""
 
     label: str
     input_state: SqueezingRecord
     output_state: SqueezingRecord
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, label: str, input_state: SqueezingRecord, output_state: SqueezingRecord
+    ) -> None:
+        self.__dict__.update(label=label, input_state=input_state, output_state=output_state)
         # The storage scan's one gate: its per-angle algebra checks nothing.
         # Every analysis scans the overlap of the input, which must be a
         # physical state, with its rotated copy and, in the pure_target mode
@@ -175,8 +177,7 @@ class StorageRecord:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class StorageReport:
+class StorageReport(_Value):
     """Full benchmark scan for one storage record.
 
     Curves are sampled on ``thetas``; ``rhs_min`` is the benchmark floor
@@ -200,6 +201,33 @@ class StorageReport:
     lhs: float
     verdict: Verdict
     notes: tuple[str, ...]
+
+    # compared and hashed by identity, as its curves are arrays
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        label: str,
+        mode: str,
+        a: float,
+        b: float,
+        thetas: np.ndarray,
+        gamma_sq: np.ndarray,
+        gamma_prime_sq: np.ndarray,
+        B: np.ndarray,
+        rhs: np.ndarray,
+        theta_min: float,
+        rhs_min: float,
+        lhs: float,
+        verdict: Verdict,
+        notes: tuple[str, ...],
+    ) -> None:
+        self.__dict__.update(
+            label=label, mode=mode, a=a, b=b, thetas=thetas, gamma_sq=gamma_sq,
+            gamma_prime_sq=gamma_prime_sq, B=B, rhs=rhs, theta_min=theta_min,
+            rhs_min=rhs_min, lhs=lhs, verdict=verdict, notes=notes,
+        )
 
 
 BENCHMARK_RECORDS: tuple[StorageRecord, ...] = (

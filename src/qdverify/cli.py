@@ -225,13 +225,32 @@ def _record_db(data: dict, key: str) -> float:
     raise ValueError(f"record field {key!r} must be a finite number, got {value!r}")
 
 
+_RECORD_KEYS = ("label", "X_db", "Y_db", "Xp_db", "Yp_db", "mode")
+
+
+def _read_record(path: str) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"record file {path!r} is not UTF-8 text: {exc}") from None
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
+        raise ValueError(f"record file {path!r} does not parse as JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"record file must hold a JSON object, got {type(data).__name__}")
+    unknown = [key for key in data if key not in _RECORD_KEYS]
+    if unknown:
+        raise ValueError(
+            f"unknown record file keys: {', '.join(map(repr, unknown))}; "
+            f"accepted keys: {', '.join(map(repr, _RECORD_KEYS))}"
+        )
+    return data
+
+
 def _load_record(args: argparse.Namespace) -> tuple[StorageRecord, str]:
     if args.record is not None:
-        data = json.loads(Path(args.record).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"record file must hold a JSON object, got {type(data).__name__}"
-            )
+        data = _read_record(args.record)
         label = _record_field(data, "label")
         if not isinstance(label, str):
             raise ValueError(f"record field 'label' must be a string, got {label!r}")
@@ -240,10 +259,10 @@ def _load_record(args: argparse.Namespace) -> tuple[StorageRecord, str]:
             SqueezingRecord(_record_db(data, "X_db"), _record_db(data, "Y_db")),
             SqueezingRecord(_record_db(data, "Xp_db"), _record_db(data, "Yp_db")),
         )
-        mode = args.mode or data.get("mode") or AS_PUBLISHED
+        mode = data.get("mode", AS_PUBLISHED)
         if mode not in (AS_PUBLISHED, PURE_TARGET):
             raise ValueError(f"unknown mode {mode!r} in record file")
-        return rec, mode
+        return rec, args.mode or mode
     direct = (args.sq_in, args.antisq_in, args.sq_out, args.antisq_out)
     if any(v is None for v in direct):
         raise ValueError(

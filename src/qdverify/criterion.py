@@ -33,7 +33,6 @@ about the channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -162,20 +161,48 @@ def _refine(func, lo: float, hi: float, x0: float, f0: float) -> tuple[float, fl
     return (x, fx) if fx <= f0 else (x0, f0)
 
 
-@dataclass(frozen=True)
-class OverlapPair:
+class _Value:
+    """Base of the package's frozen value types.
+
+    A subclass's ``__init__`` writes its fields, in field order, straight
+    into the instance ``__dict__``.  Assignment and deletion then raise
+    AttributeError, and ``repr``, ``==`` and ``hash`` read the fields in that
+    order; ``==`` holds only between instances of one class.  Pickling and
+    copying restore the ``__dict__`` without calling ``__setattr__``.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+
+class OverlapPair(_Value):
     """Overlap moduli of the two inputs and of the two reference targets."""
 
     gamma: float
     gamma_prime: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, gamma: float, gamma_prime: float) -> None:
+        self.__dict__.update(gamma=gamma, gamma_prime=gamma_prime)
         _check_unit("gamma", self.gamma)
         _check_unit("gamma_prime", self.gamma_prime)
 
 
-@dataclass(frozen=True)
-class FidelityPair:
+class FidelityPair(_Value):
     """Measured target fidelities of the two transformed inputs.
 
     ``a`` belongs to the state carrying prior weight ``1 - p_plus``, ``b``
@@ -186,7 +213,8 @@ class FidelityPair:
     a: float
     b: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, a: float, b: float) -> None:
+        self.__dict__.update(a=a, b=b)
         _check_unit("a", self.a)
         _check_unit("b", self.b)
 
@@ -195,8 +223,7 @@ class FidelityPair:
         return 0.5 * (self.a + self.b)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Value):
     """Outcome of the quantum-domain test.
 
     ``lhs`` is the balanced mean fidelity (a + b) / 2 and ``rhs`` the
@@ -212,9 +239,24 @@ class Verdict:
     lhs: float
     rhs: float
     method: str
-    marginal: bool = False
-    swapped: bool = False
-    degenerate: str | None = None
+    marginal: bool
+    swapped: bool
+    degenerate: str | None
+
+    def __init__(
+        self,
+        is_quantum_domain: bool,
+        lhs: float,
+        rhs: float,
+        method: str,
+        marginal: bool = False,
+        swapped: bool = False,
+        degenerate: str | None = None,
+    ) -> None:
+        self.__dict__.update(
+            is_quantum_domain=is_quantum_domain, lhs=lhs, rhs=rhs, method=method,
+            marginal=marginal, swapped=swapped, degenerate=degenerate,
+        )
 
 
 def total_nonorthogonality(t: OverlapPair) -> float:

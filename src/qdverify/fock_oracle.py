@@ -12,7 +12,8 @@ needs: its lightest columns, of total weight at most ``DROPPED_WEIGHT`` =
 squeezed thermal state at dim 120 with 20 to 87 columns for nbar between
 0.05 and 1.  Nothing here assumes any Gaussian identity, which is the
 point: agreement with :mod:`qdverify.gaussian` validates those identities
-independently.
+independently.  From :mod:`qdverify.criterion` it takes only the base of its
+frozen value type, no formula.
 
 Truncation is treated as a hard precondition, not a degradation: state
 constructors raise when the retained trace falls below 1 - 1e-6, or,
@@ -29,8 +30,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from .criterion import _Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,8 +59,7 @@ ORTHONORMAL_TOL = 1e-10
 DROPPED_WEIGHT = 1e-26
 
 
-@dataclass(frozen=True, eq=False)
-class FockDensity:
+class FockDensity(_Value):
     """A truncated density matrix V diag(w) V^H, held as its spectrum.
 
     ``weights`` are the eigenvalues and the columns of ``vectors`` the
@@ -73,11 +74,15 @@ class FockDensity:
     weights: np.ndarray
     vectors: np.ndarray
 
-    def __post_init__(self) -> None:
+    # compared and hashed by identity, as its fields are arrays
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, weights: np.ndarray, vectors: np.ndarray) -> None:
         import numpy as np
 
-        w = np.array(self.weights, dtype=float)
-        v = np.asarray(self.vectors)
+        w = np.array(weights, dtype=float)
+        v = np.asarray(vectors)
         if w.ndim != 1 or v.ndim != 2 or v.shape[1] != w.size or v.size == 0:
             raise ValueError(f"shapes {w.shape}, {v.shape} are not (k,), (dim, k) with k > 0")
         if not (np.isfinite(w).all() and w.min() >= EIGENVALUE_FLOOR):
@@ -94,9 +99,9 @@ class FockDensity:
         err = float(np.max(np.abs(v.conj().T @ v - np.eye(w.size))))
         if not (err <= ORTHONORMAL_TOL):
             raise ValueError(f"vectors are not orthonormal: max |V^H V - I| = {err!r}")
-        for name, arr in (("weights", w), ("vectors", v)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        self.__dict__.update(weights=w, vectors=v)
 
     @property
     def dim(self) -> int:

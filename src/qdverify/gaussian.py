@@ -26,7 +26,8 @@ step cancels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .criterion import _Value
 
 __all__ = [
     "CovMat2",
@@ -45,15 +46,15 @@ __all__ = [
 DET_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CovMat2:
+class CovMat2(_Value):
     """Symmetric 2x2 covariance matrix, vacuum = identity convention."""
 
     c11: float
     c12: float
     c22: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, c11: float, c12: float, c22: float) -> None:
+        self.__dict__.update(c11=c11, c12=c12, c22=c22)
         for name in ("c11", "c12", "c22"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"covariance entry {name} must be finite")
@@ -75,23 +76,25 @@ class CovMat2:
         return cls(float(v1), 0.0, float(v2))
 
 
-@dataclass(frozen=True)
-class GaussianState:
+class GaussianState(_Value):
     """A covariance matrix plus quadrature means in x-eigenvalue units."""
 
     cov: CovMat2
-    mean1: float = 0.0
-    mean2: float = 0.0
+    mean1: float
+    mean2: float
+
+    def __init__(self, cov: CovMat2, mean1: float = 0.0, mean2: float = 0.0) -> None:
+        self.__dict__.update(cov=cov, mean1=mean1, mean2=mean2)
 
 
-@dataclass(frozen=True)
-class SqueezingRecord:
+class SqueezingRecord(_Value):
     """Measured squeezing and antisqueezing of one state, in dB."""
 
     squeezing_db: float
     antisqueezing_db: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, squeezing_db: float, antisqueezing_db: float) -> None:
+        self.__dict__.update(squeezing_db=squeezing_db, antisqueezing_db=antisqueezing_db)
         for name in ("squeezing_db", "antisqueezing_db"):
             db = getattr(self, name)
             if not math.isfinite(db):

@@ -33,10 +33,9 @@ import functools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .criterion import _check_unit, _refine
+from .criterion import _check_unit, _refine, _Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,8 +58,7 @@ COMPLETENESS_TOL = 1e-8
 _MAX_ELEMENTS = 6
 
 
-@dataclass(frozen=True)
-class EnsembleParams:
+class EnsembleParams(_Value):
     """Geometry of a weighted two-state ensemble in its Bloch plane.
 
     ``bias`` is the prior imbalance p_plus - p_minus.  ``diff_norm`` is
@@ -73,9 +71,11 @@ class EnsembleParams:
     diff_norm: float
     axis_angle: float
 
+    def __init__(self, bias: float, diff_norm: float, axis_angle: float) -> None:
+        self.__dict__.update(bias=bias, diff_norm=diff_norm, axis_angle=axis_angle)
 
-@dataclass(frozen=True)
-class CQScheme:
+
+class CQScheme(_Value):
     """A weighted set of Bloch-plane POVM elements.
 
     Weights are element traces; a valid scheme satisfies the three
@@ -86,7 +86,8 @@ class CQScheme:
     weights: tuple[float, ...]
     angles: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, weights: tuple[float, ...], angles: tuple[float, ...]) -> None:
+        self.__dict__.update(weights=weights, angles=angles)
         if len(self.weights) != len(self.angles):
             raise ValueError("weights and angles must have equal length")
         if not self.weights:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+
+from .criterion import _Value
 
 __all__ = [
     "QuadratureMoments",
@@ -29,8 +30,7 @@ __all__ = [
 CENTERING_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class QuadratureMoments:
+class QuadratureMoments(_Value):
     """First moments and raw second moments of the two quadratures."""
 
     m1: float
@@ -38,7 +38,8 @@ class QuadratureMoments:
     s1: float
     s2: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, m1: float, m2: float, s1: float, s2: float) -> None:
+        self.__dict__.update(m1=m1, m2=m2, s1=s1, s2=s2)
         for name in ("m1", "m2", "s1", "s2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"moment {name} must be finite")

@@ -229,6 +229,47 @@ def test_squeezed_record_label_must_be_a_string(tmp_path, capsys, label):
     assert cap.out == ""
 
 
+@pytest.mark.parametrize("extra", [{"mdoe": "pure_target"}, {"Xdb": -2.0, "note": "x"}])
+def test_squeezed_record_refuses_unknown_keys(tmp_path, capsys, extra):
+    # a misspelled key used to be ignored, and the record analysed as_published
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps({**RECORD, **extra}), encoding="utf-8")
+    code, cap = _run(capsys, ["squeezed", "--record", str(path), "--theta-points", "64"])
+    assert code == 2 and cap.out == ""
+    assert cap.err == (
+        f"error: unknown record file keys: {', '.join(map(repr, extra))}; accepted keys: "
+        "'label', 'X_db', 'Y_db', 'Xp_db', 'Yp_db', 'mode'\n"
+    )
+
+
+@pytest.mark.parametrize("mode", [None, "", "PURE_TARGET", 1])
+@pytest.mark.parametrize("flag", [[], ["--mode", "pure_target"]])
+def test_squeezed_record_mode_must_name_a_mode(tmp_path, capsys, mode, flag):
+    # a null or empty mode used to fall back to as_published
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps({**RECORD, "mode": mode}), encoding="utf-8")
+    code, cap = _run(capsys, ["squeezed", "--record", str(path), "--theta-points", "64", *flag])
+    assert code == 2 and cap.out == ""
+    assert cap.err == f"error: unknown mode {mode!r} in record file\n"
+
+
+@pytest.mark.parametrize("raw, why", [
+    (b"label: bench\n", "does not parse as JSON: Expecting value"),
+    (b'{"label": "bench",}', "does not parse as JSON: Expecting property name"),
+    (b"[" * 100_000, "does not parse as JSON: maximum recursion depth exceeded"),
+    (b'{"X_db": 1' + b"0" * 5000 + b"}", "does not parse as JSON: Exceeds the limit"),
+    (json.dumps(RECORD).encode("utf-16"), "is not UTF-8 text: 'utf-8' codec can't decode"),
+    (b'{"label": "b\xe9nch"}', "is not UTF-8 text: 'utf-8' codec can't decode"),
+], ids=["yaml", "trailing-comma", "too-deep", "too-many-digits", "utf-16", "latin-1"])
+def test_squeezed_record_that_is_not_utf8_json_names_the_file(tmp_path, capsys, raw, why):
+    path = tmp_path / "rec.json"
+    path.write_bytes(raw)
+    code, cap = _run(capsys, ["squeezed", "--record", str(path)])
+    assert code == 2 and cap.out == ""
+    assert cap.err.startswith(f"error: record file {str(path)!r} {why}")
+    assert len(cap.err.splitlines()) == 1
+
+
 def test_squeezed_direct_flags(capsys):
     code, cap = _run(
         capsys,
@@ -526,6 +567,22 @@ def test_cli_import_loads_the_modules_perfbench_times():
     )
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the value types are plain classes: importing dataclasses and inspect, and
+    # decorating a dozen classes, cost about a sixth of a cold `criterion` run
+    src = str(Path(qdverify.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, qdverify.cli; "
+        "print(*sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == []
+
+
 def test_oracle_check_leaves_numpy_random_unloaded(tmp_path):
     # the Fock pairs come from the stdlib's random, as the scheme draws do
     code, out, err, loaded = _fresh_cli(SMALL_ORACLE_ARGV, tmp_path)
@@ -585,6 +642,8 @@ def test_decisions_and_input_errors_start_without_numpy(tmp_path):
             assert not any(m.split(".")[0] == "scipy" for m in loaded), argv
             # no command runs the quadrature bounds
             assert "qdverify.quadrature_bounds" not in loaded, argv
+            # nor decorates a dataclass, whose module pulls in inspect and ast
+            assert "dataclasses" not in loaded, argv
             fresh[tuple(argv)] = (code, out, err)
     # One process that alternates between the two kinds writes the same bytes.
     order = [case for pair in zip(no_numpy, with_numpy) for case in pair]
