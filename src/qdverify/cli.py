@@ -228,13 +228,28 @@ def _record_db(data: dict, key: str) -> float:
 _RECORD_KEYS = ("label", "X_db", "Y_db", "Xp_db", "Yp_db", "mode")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, raising KeyError on a repeated key.
+
+    ``json.loads`` would otherwise keep the last value without a word.
+    """
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise KeyError(key)
+        data[key] = value
+    return data
+
+
 def _read_record(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"record file {path!r} is not UTF-8 text: {exc}") from None
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except KeyError as exc:
+        raise ValueError(f"record file {path!r} repeats key {exc.args[0]!r}") from None
     except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
         raise ValueError(f"record file {path!r} does not parse as JSON: {exc}") from None
     if not isinstance(data, dict):
@@ -429,11 +444,97 @@ def _cmd_oracle_check(args: argparse.Namespace) -> tuple[dict, None, int]:
     return report, None, 0 if passed else 3
 
 
-def _out_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, help="write the report here instead of stdout")
+def _criterion_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--a", type=float, required=True, help="first measured fidelity")
+    p.add_argument("--b", type=float, required=True, help="second measured fidelity")
+    _nonorth_flags(p)
+    p.add_argument(
+        "--p-plus", type=float, default=None,
+        help="also report the fixed-prior bound at this prior",
+    )
+    p.add_argument(
+        "--tolerance", type=float, default=None,
+        help=f"closed-form vs numeric agreement tolerance (default {AGREEMENT_TOL})",
+    )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _boundary_flags(p: argparse.ArgumentParser) -> None:
+    _nonorth_flags(p)
+    p.add_argument("--points", type=int, default=200, help="number of samples")
+    p.add_argument("--curve-out", default=None, help="also write the curve as CSV")
+
+
+def _coherent_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--alpha", type=float, required=True, help="probe amplitude")
+    p.add_argument("--eta", type=float, required=True, help="channel transmission")
+    p.add_argument("--a", type=float, required=True, help="first measured fidelity")
+    p.add_argument("--b", type=float, required=True, help="second measured fidelity")
+
+
+def _squeezed_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--record", default=None, help="JSON record file")
+    p.add_argument("--label", default="session", help="label when giving dB flags")
+    p.add_argument("--squeezing-in-db", dest="sq_in", type=float, default=None)
+    p.add_argument("--antisqueezing-in-db", dest="antisq_in", type=float, default=None)
+    p.add_argument("--squeezing-out-db", dest="sq_out", type=float, default=None)
+    p.add_argument("--antisqueezing-out-db", dest="antisq_out", type=float, default=None)
+    p.add_argument(
+        "--mode", choices=[AS_PUBLISHED, PURE_TARGET], default=None,
+        help="overrides the record file's mode",
+    )
+    p.add_argument("--theta-points", type=int, default=256)
+    p.add_argument("--curve-out", default=None, help="also write the scan as CSV")
+
+
+def _table1_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--theta-points", type=int, default=256)
+    p.add_argument("--mode", choices=[AS_PUBLISHED, PURE_TARGET], default=AS_PUBLISHED)
+
+
+def _oracle_check_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--grid-size", type=int, default=3, help="per-axis scheme grid")
+    p.add_argument("--resolution", type=int, default=2048)
+    p.add_argument("--random-schemes", type=int, default=16)
+    p.add_argument("--pairs", type=int, default=10, help="random state pairs")
+    p.add_argument("--dim", type=int, default=DEFAULT_DIM)
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument(
+        "--tolerance", type=float, default=None,
+        help="override every suite tolerance",
+    )
+
+
+#: Each subcommand once, in help order: its help line, the function that adds
+#: its flags (``--out`` is added after them), and its handler.
+_COMMANDS = {
+    "criterion": (
+        "run the two-state test on explicit numbers", _criterion_flags, _cmd_criterion,
+    ),
+    "boundary": ("sample the pass/fail boundary curve", _boundary_flags, _cmd_boundary),
+    "coherent": ("binary coherent-state pipeline", _coherent_flags, _cmd_coherent),
+    "squeezed": ("squeezed-storage benchmark scan", _squeezed_flags, _cmd_squeezed),
+    "table1": (
+        "analyse the four embedded benchmark records", _table1_flags, _cmd_table1,
+    ),
+    "oracle-check": (
+        "cross-validate closed forms against the numerical oracles",
+        _oracle_check_flags,
+        _cmd_oracle_check,
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``qdverify`` parser, with the flags of ``command`` or of every subcommand.
+
+    All six subcommand names are registered either way, so the top-level
+    help and the "invalid choice" error do not depend on ``command``; only
+    ``command``'s subparser gets its flags, and with ``None`` every one does.
+    Every subcommand's flags make up about half of a full build, so ``main``
+    builds only the invoked subcommand's.  Nothing is cached across calls:
+    the warm benchmark keeps a record per operation, so a faster call there
+    reads as more memory until that record goes (ROADMAP item 1).
+    """
     parser = argparse.ArgumentParser(
         prog="qdverify",
         description="decide from fidelity data whether a channel beats "
@@ -443,83 +544,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"qdverify {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    crit = sub.add_parser("criterion", help="run the two-state test on explicit numbers")
-    crit.add_argument("--a", type=float, required=True, help="first measured fidelity")
-    crit.add_argument("--b", type=float, required=True, help="second measured fidelity")
-    _nonorth_flags(crit)
-    crit.add_argument(
-        "--p-plus", type=float, default=None,
-        help="also report the fixed-prior bound at this prior",
-    )
-    crit.add_argument(
-        "--tolerance", type=float, default=None,
-        help=f"closed-form vs numeric agreement tolerance (default {AGREEMENT_TOL})",
-    )
-    _out_flag(crit)
-
-    bnd = sub.add_parser("boundary", help="sample the pass/fail boundary curve")
-    _nonorth_flags(bnd)
-    bnd.add_argument("--points", type=int, default=200, help="number of samples")
-    bnd.add_argument("--curve-out", default=None, help="also write the curve as CSV")
-    _out_flag(bnd)
-
-    coh = sub.add_parser("coherent", help="binary coherent-state pipeline")
-    coh.add_argument("--alpha", type=float, required=True, help="probe amplitude")
-    coh.add_argument("--eta", type=float, required=True, help="channel transmission")
-    coh.add_argument("--a", type=float, required=True, help="first measured fidelity")
-    coh.add_argument("--b", type=float, required=True, help="second measured fidelity")
-    _out_flag(coh)
-
-    sq = sub.add_parser("squeezed", help="squeezed-storage benchmark scan")
-    sq.add_argument("--record", default=None, help="JSON record file")
-    sq.add_argument("--label", default="session", help="label when giving dB flags")
-    sq.add_argument("--squeezing-in-db", dest="sq_in", type=float, default=None)
-    sq.add_argument("--antisqueezing-in-db", dest="antisq_in", type=float, default=None)
-    sq.add_argument("--squeezing-out-db", dest="sq_out", type=float, default=None)
-    sq.add_argument("--antisqueezing-out-db", dest="antisq_out", type=float, default=None)
-    sq.add_argument(
-        "--mode", choices=[AS_PUBLISHED, PURE_TARGET], default=None,
-        help="overrides the record file's mode",
-    )
-    sq.add_argument("--theta-points", type=int, default=256)
-    sq.add_argument("--curve-out", default=None, help="also write the scan as CSV")
-    _out_flag(sq)
-
-    tab = sub.add_parser("table1", help="analyse the four embedded benchmark records")
-    tab.add_argument("--theta-points", type=int, default=256)
-    tab.add_argument(
-        "--mode", choices=[AS_PUBLISHED, PURE_TARGET], default=AS_PUBLISHED
-    )
-    _out_flag(tab)
-
-    orc = sub.add_parser(
-        "oracle-check",
-        help="cross-validate closed forms against the numerical oracles",
-    )
-    orc.add_argument("--grid-size", type=int, default=3, help="per-axis scheme grid")
-    orc.add_argument("--resolution", type=int, default=2048)
-    orc.add_argument("--random-schemes", type=int, default=16)
-    orc.add_argument("--pairs", type=int, default=10, help="random state pairs")
-    orc.add_argument("--dim", type=int, default=DEFAULT_DIM)
-    orc.add_argument("--seed", type=int, default=7)
-    orc.add_argument(
-        "--tolerance", type=float, default=None,
-        help="override every suite tolerance",
-    )
-    _out_flag(orc)
-
+    for name, (summary, add_flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if command is None or command == name:
+            add_flags(p)
+            p.add_argument("--out", default=None, help="write the report here instead of stdout")
     return parser
-
-
-_HANDLERS = {
-    "criterion": _cmd_criterion,
-    "boundary": _cmd_boundary,
-    "coherent": _cmd_coherent,
-    "squeezed": _cmd_squeezed,
-    "table1": _cmd_table1,
-    "oracle-check": _cmd_oracle_check,
-}
 
 
 def _csv_text(columns: dict) -> str:
@@ -573,17 +603,39 @@ def _write_all(files: list[tuple[str, str]]) -> None:
             fh.write(text)
 
 
+def _refuse_shared_output(args: argparse.Namespace) -> None:
+    """Refuse ``--out`` and ``--curve-out`` naming one regular file.
+
+    The second write would replace the first.  A device or pipe named twice,
+    such as /dev/stdout, takes both texts in turn, so it stays accepted.
+    """
+    curve_out = getattr(args, "curve_out", None)
+    if not curve_out or args.out is None:
+        return
+    shared = os.path.realpath(curve_out) == os.path.realpath(args.out)
+    if shared and (os.path.isfile(args.out) or not os.path.exists(args.out)):
+        raise ValueError(
+            f"--out {args.out!r} and --curve-out {curve_out!r} name the same file"
+        )
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level options take no value, so the first argument that is not
+    # an option is the subcommand argparse dispatches to.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report, curve, code = _HANDLERS[args.command](args)
+        _refuse_shared_output(args)
+        _, _, handler = _COMMANDS[args.command]
+        report, curve, code = handler(args)
         text = json.dumps(report, indent=2, allow_nan=False) + "\n"
         files = []
-        if curve is not None and getattr(args, "curve_out", None):
+        if curve is not None and args.curve_out:
             files.append((args.curve_out, _csv_text(curve)))
         if args.out is not None:
             files.append((args.out, text))

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -270,6 +271,22 @@ def test_squeezed_record_that_is_not_utf8_json_names_the_file(tmp_path, capsys, 
     assert len(cap.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("raw, key", [
+    ('{"label": "bench", "X_db": -2.0, "Y_db": 6.0, "Xp_db": -0.07, "Yp_db": 0.49, '
+     '"mode": "pure_target", "mode": "as_published", "X_db": -1.0}', "mode"),
+    ('{"label": "bench", "X_db": -2.0, "Y_db": 6.0, "Xp_db": -0.07, "Yp_db": 0.49, '
+     '"X_db": -1.0}', "X_db"),
+], ids=["mode-then-X_db", "X_db"])
+def test_squeezed_record_refuses_a_repeated_key(tmp_path, capsys, raw, key):
+    # json.loads keeps the last value, so the first record used to exit 0,
+    # analysed as_published at X_db -1.0
+    path = tmp_path / "rec.json"
+    path.write_text(raw, encoding="utf-8")
+    code, cap = _run(capsys, ["squeezed", "--record", str(path), "--theta-points", "64"])
+    assert code == 2 and cap.out == ""
+    assert cap.err == f"error: record file {str(path)!r} repeats key {key!r}\n"
+
+
 def test_squeezed_direct_flags(capsys):
     code, cap = _run(
         capsys,
@@ -513,6 +530,37 @@ def test_output_files_replace_their_targets_whole(tmp_path, capsys, name):
     # the link still points at its target, and no staging file is left behind
     assert link.is_symlink() and link.resolve() == curve.resolve()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "link.csv", "report.json"]
+
+
+@pytest.mark.parametrize("name", list(CURVE_ARGVS))
+@pytest.mark.parametrize("existing", [None, "old contents\n"], ids=["new", "existing"])
+def test_out_and_curve_out_naming_one_file_exit_2(tmp_path, capsys, name, existing):
+    # the report used to replace the CSV silently; a symlink names the same file
+    target, link = tmp_path / "same.out", tmp_path / "link.out"
+    if existing is not None:
+        target.write_text(existing, encoding="utf-8")
+    link.symlink_to(target)
+    code, cap = _run(capsys, [*CURVE_ARGVS[name], "--curve-out", str(link), "--out", str(target)])
+    assert code == 2 and cap.out == ""
+    assert cap.err == (
+        f"error: --out {str(target)!r} and --curve-out {str(link)!r} name the same file\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["link.out"] if existing is None else ["link.out", "same.out"]
+    )
+    if existing is not None:
+        assert target.read_text(encoding="utf-8") == existing
+
+
+def test_out_and_curve_out_may_name_one_device_or_pipe(tmp_path, capsys):
+    # a device or pipe takes both texts in turn, written in place
+    argv = [*CURVE_ARGVS["boundary"], "--curve-out", "/dev/null", "--out", "/dev/null"]
+    code, cap = _run(capsys, argv)
+    assert (code, cap.out, cap.err) == (0, "", "")
+    argv = [*CURVE_ARGVS["boundary"], "--curve-out", "/dev/stdout", "--out", "/dev/stdout"]
+    code, out, err, _ = _fresh_cli(argv, tmp_path)
+    assert code == 0 and err == ""
+    assert out.startswith("a,b\n") and json.loads(out[out.index("{"):])["command"] == "boundary"
 
 
 @pytest.mark.parametrize("dim", [-1, 0, DIM_RANGE[0] - 1, DIM_RANGE[1] + 1, 100_000])
@@ -842,3 +890,105 @@ def test_main_only_exits_0_2_or_3_on_generated_argv(case):
 }))
 def test_squeezed_exits_0_or_2_on_generated_records(case):
     _check_generated(case)
+
+
+def _subparsers(parser):
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+SUBPARSERS = _subparsers(cli.build_parser())
+COMMANDS = list(SUBPARSERS)
+# every subcommand flag that takes a value, so that a case can carry flags of
+# another subcommand, which only the full parser knows
+OTHER_FLAGS = sorted({
+    option
+    for sub in SUBPARSERS.values()
+    for action in sub._actions
+    if action.nargs != 0
+    for option in action.option_strings
+})
+
+
+def _parse(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            # by repr, so that a NaN flag value compares equal to itself
+            result = repr(sorted(vars(parser.parse_args(argv)).items()))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_top_level_options_take_no_value():
+    # main picks the subcommand as the first argument that is not an option,
+    # which holds only while no top-level option takes a value
+    parser = cli.build_parser()
+    options = [a for a in parser._actions if a.option_strings]
+    assert {o for a in options for o in a.option_strings} == {"-h", "--help", "--version"}
+    assert all(a.nargs == 0 for a in options)
+
+
+@pytest.mark.parametrize("argv", [[], *([name] for name in COMMANDS)], ids=["top", *COMMANDS])
+def test_help_matches_the_full_parser(argv):
+    full = _parse(cli.build_parser(), [*argv, "--help"])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv, "--help"])
+    assert (code, out.getvalue(), err.getvalue()) == full
+    assert code == 0 and out.getvalue().startswith(" ".join(["usage: qdverify", *argv]))
+
+
+STRAY_FLAGS = st.lists(
+    st.tuples(st.sampled_from(OTHER_FLAGS), st.sampled_from(["0.5", "3", "as_published", "x"])),
+    max_size=2,
+)
+
+
+# the generated argvs, and oracle-check's, which only parse here
+PARSED_ARGV = st.one_of(
+    GENERATED_ARGV,
+    st.tuples(
+        st.just("oracle-check"),
+        _flags(
+            (),
+            ("--grid-size", "--resolution", "--random-schemes", "--pairs", "--dim", "--seed",
+             "--tolerance"),
+            st.one_of(st.integers(-5, 100), edge_floats),
+        ),
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(PARSED_ARGV, STRAY_FLAGS, st.booleans())
+def test_subcommand_parser_parses_like_the_full_parser(case, stray, equals):
+    # the same Namespace, or the same exit code and stderr, with or without
+    # the flags of the subcommands the argv does not invoke
+    command, flags = case
+    pairs = [(f, v if isinstance(v, str) else repr(v)) for f, v in flags.items()] + stray
+    tail = [f"{f}={v}" for f, v in pairs] if equals else [t for pair in pairs for t in pair]
+    argv = [command, *tail]
+    assert _parse(cli.build_parser(command), argv) == _parse(cli.build_parser(), argv)
+
+
+def test_consecutive_in_process_calls_match_fresh_processes(tmp_path):
+    # one process running every subcommand and an input error, forwards and
+    # then backwards, writes what a fresh process writes for each
+    cases = [
+        CRITERION_ARGV,
+        CURVE_ARGVS["boundary"],
+        ["coherent", "--alpha", "1.0", "--eta", "0.5", "--a", "0.9", "--b", "0.9"],
+        CURVE_ARGVS["squeezed"],
+        ["table1", "--theta-points", "64"],
+        SMALL_ORACLE_ARGV,
+        [*CRITERION_ARGV, "--gamma", "0.3"],
+    ]
+    fresh = [_fresh_cli(argv, tmp_path)[:3] for argv in cases]
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 0, 2]
+    for argv, expected in [*zip(cases, fresh), *reversed(list(zip(cases, fresh)))]:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        assert (code, out.getvalue(), err.getvalue()) == expected, argv
