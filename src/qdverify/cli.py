@@ -39,6 +39,7 @@ from .applications import (
     StorageReport,
     benchmark_table,
     coherent_task_overlaps,
+    coherent_verify,
     squeezed_storage_analysis,
 )
 from .criterion import (
@@ -191,8 +192,7 @@ def _cmd_boundary(args: argparse.Namespace) -> tuple[dict, dict, int]:
 def _cmd_coherent(args: argparse.Namespace) -> tuple[dict, None, int]:
     task = CoherentTask(args.alpha, args.eta)
     overlaps = coherent_task_overlaps(task)
-    nonorth = total_nonorthogonality(overlaps)
-    verdict = qd_criterion(FidelityPair(args.a, args.b), nonorth)
+    verdict = coherent_verify(task, FidelityPair(args.a, args.b))
     report = _report_head("coherent")
     report["inputs"] = {
         "alpha": float(args.alpha),
@@ -202,7 +202,7 @@ def _cmd_coherent(args: argparse.Namespace) -> tuple[dict, None, int]:
     }
     report["gamma"] = overlaps.gamma
     report["gamma_prime"] = overlaps.gamma_prime
-    report["nonorthogonality"] = float(nonorth)
+    report["nonorthogonality"] = float(total_nonorthogonality(overlaps))
     report["verdict"] = _verdict_dict(verdict)
     return report, None, 0
 
@@ -562,27 +562,38 @@ def _csv_text(columns: dict) -> str:
     return buf.getvalue()
 
 
-def _write_all(files: list[tuple[str, str]]) -> None:
-    """Write each (path, text) so that a failed write changes no regular file.
+def _write_all(files: list[tuple[str, str, str]]) -> None:
+    """Write each (flag, path, text) so that a refused or failed write changes no file.
 
-    A text bound for a regular file, or a new one, first goes to a fresh file
-    beside it (symlinks resolved), and the targets are replaced only once
-    every text is written.  A device or pipe such as /dev/stdout cannot be
-    replaced, so it is written in place, after them.  Errors name the path
-    given.
+    Every path is checked before anything is created.  An empty path, a
+    directory, a regular file without write permission, and a regular file
+    or new path that an earlier flag already names (symlinks resolved; the
+    second text would replace the first) are refused.  Each text bound for a
+    regular file, or a new one, then goes to a fresh file beside it, and the
+    targets are replaced only once every text is written.  A device or pipe
+    such as /dev/stdout cannot be replaced, so it is written in place, after
+    them, and may be named twice.  Errors name the flag or the path given.
     """
-    staged, in_place = [], []
+    named, to_stage, in_place = {}, [], []
+    for flag, path, text in files:
+        if not path:
+            raise ValueError(f"{flag} needs a file path, got ''")
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if os.path.exists(path):
+            if not os.path.isfile(path):
+                in_place.append((path, text))
+                continue
+            if not os.access(path, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        real = os.path.realpath(path)
+        if real in named:
+            raise ValueError(f"{flag} {path!r} and {named[real]} name the same file")
+        named[real] = f"{flag} {path!r}"
+        to_stage.append((path, real, text))
+    staged = []
     try:
-        for path, text in files:
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            if os.path.exists(path):
-                if not os.path.isfile(path):
-                    in_place.append((path, text))
-                    continue
-                if not os.access(path, os.W_OK):
-                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-            real = os.path.realpath(path)
+        for path, real, text in to_stage:
             tmp = f"{real}.{os.urandom(4).hex()}.tmp"
             try:
                 fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -603,42 +614,23 @@ def _write_all(files: list[tuple[str, str]]) -> None:
             fh.write(text)
 
 
-def _refuse_shared_output(args: argparse.Namespace) -> None:
-    """Refuse ``--out`` and ``--curve-out`` naming one regular file.
-
-    The second write would replace the first.  A device or pipe named twice,
-    such as /dev/stdout, takes both texts in turn, so it stays accepted.
-    """
-    curve_out = getattr(args, "curve_out", None)
-    if not curve_out or args.out is None:
-        return
-    shared = os.path.realpath(curve_out) == os.path.realpath(args.out)
-    if shared and (os.path.isfile(args.out) or not os.path.exists(args.out)):
-        raise ValueError(
-            f"--out {args.out!r} and --curve-out {curve_out!r} name the same file"
-        )
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # The top-level options take no value, so the first argument that is not
-    # an option is the subcommand argparse dispatches to.
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
         args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _refuse_shared_output(args)
         _, _, handler = _COMMANDS[args.command]
         report, curve, code = handler(args)
         text = json.dumps(report, indent=2, allow_nan=False) + "\n"
         files = []
-        if curve is not None and args.curve_out:
-            files.append((args.curve_out, _csv_text(curve)))
+        if getattr(args, "curve_out", None) is not None:
+            files.append(("--curve-out", args.curve_out, _csv_text(curve)))
         if args.out is not None:
-            files.append((args.out, text))
+            files.append(("--out", args.out, text))
         _write_all(files)
         if args.out is None:
             sys.stdout.write(text)

@@ -552,6 +552,41 @@ def test_out_and_curve_out_naming_one_file_exit_2(tmp_path, capsys, name, existi
         assert target.read_text(encoding="utf-8") == existing
 
 
+@pytest.mark.parametrize("name", list(CURVE_ARGVS))
+@pytest.mark.parametrize("flag, other", [("--out", "--curve-out"), ("--curve-out", "--out")])
+@pytest.mark.parametrize("with_other", [False, True], ids=["alone", "with-other"])
+def test_empty_output_path_exits_2_naming_the_flag(
+    tmp_path, capsys, monkeypatch, name, flag, other, with_other
+):
+    # "" would resolve to the working directory; nothing may be created, not
+    # even a staging file for a valid other path
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    opened, real_open = [], os.open
+
+    def spy_open(path, *rest, **kwargs):
+        opened.append(path)
+        return real_open(path, *rest, **kwargs)
+
+    monkeypatch.setattr(cli.os, "open", spy_open)
+    argv = [*CURVE_ARGVS[name], flag, ""] + ([other, "kept"] if with_other else [])
+    code, cap = _run(capsys, argv)
+    assert (code, cap.out, cap.err) == (2, "", f"error: {flag} needs a file path, got ''\n")
+    assert opened == []
+    assert list(cwd.iterdir()) == [] and list(tmp_path.iterdir()) == [cwd]
+
+
+def test_input_error_comes_before_the_shared_file_error(tmp_path, capsys, monkeypatch):
+    # the shared-file refusal is made when the run writes, after the handler
+    monkeypatch.chdir(tmp_path)
+    argv = ["boundary", "--B", "2", "--points", "3", "--curve-out", "x", "--out", "x"]
+    code, cap = _run(capsys, argv)
+    assert (code, cap.out) == (2, "")
+    assert cap.err == "error: B must lie in (0, 1) for a boundary curve, got 2.0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_and_curve_out_may_name_one_device_or_pipe(tmp_path, capsys):
     # a device or pipe takes both texts in turn, written in place
     argv = [*CURVE_ARGVS["boundary"], "--curve-out", "/dev/null", "--out", "/dev/null"]
@@ -921,23 +956,26 @@ def _parse(parser, argv):
     return result, out.getvalue(), err.getvalue()
 
 
-def test_top_level_options_take_no_value():
-    # main picks the subcommand as the first argument that is not an option,
-    # which holds only while no top-level option takes a value
-    parser = cli.build_parser()
-    options = [a for a in parser._actions if a.option_strings]
-    assert {o for a in options for o in a.option_strings} == {"-h", "--help", "--version"}
-    assert all(a.nargs == 0 for a in options)
-
-
-@pytest.mark.parametrize("argv", [[], *([name] for name in COMMANDS)], ids=["top", *COMMANDS])
-def test_help_matches_the_full_parser(argv):
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        ([], "usage: qdverify"),
+        *(([name], f"usage: qdverify {name}") for name in COMMANDS),
+        # main reads the subcommand only from argv[0], so these two take the
+        # full parser
+        (["-h", "criterion"], "usage: qdverify"),
+        (["--", *CRITERION_ARGV], None),
+    ],
+    ids=["top", *COMMANDS, "help-then-command", "dashdash-then-command"],
+)
+def test_help_matches_the_full_parser(argv, usage):
     full = _parse(cli.build_parser(), [*argv, "--help"])
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main([*argv, "--help"])
     assert (code, out.getvalue(), err.getvalue()) == full
-    assert code == 0 and out.getvalue().startswith(" ".join(["usage: qdverify", *argv]))
+    if usage is not None:
+        assert code == 0 and out.getvalue().startswith(f"{usage} ")
 
 
 STRAY_FLAGS = st.lists(
