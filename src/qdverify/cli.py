@@ -21,6 +21,7 @@ import json
 import math
 import os
 import random
+import stat
 import sys
 from pathlib import Path
 
@@ -525,16 +526,27 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``qdverify`` parser, with the flags of ``command`` or of every subcommand.
+    """The ``qdverify`` parser, with the subparser of ``command`` or of every subcommand.
 
-    All six subcommand names are registered either way, so the top-level
-    help and the "invalid choice" error do not depend on ``command``; only
-    ``command``'s subparser gets its flags, and with ``None`` every one does.
-    Every subcommand's flags make up about half of a full build, so ``main``
-    builds only the invoked subcommand's.  Nothing is cached across calls:
+    Each subparser is a whole ``ArgumentParser``, so ``main`` registers only
+    the one it invokes: two parsers per call instead of seven.  With ``None``
+    all six are registered, for the top-level help, the "invalid choice"
+    error and a missing subcommand.  A one-subcommand parser still names all
+    six in its usage line (the ``metavar``), so an error that prints the
+    top-level usage, such as an unrecognized flag, reads as the full
+    parser's; the full parser gets no ``metavar``, which would change the
+    "invalid choice" and "required" errors.  Nothing is cached across calls:
     the warm benchmark keeps a record per operation, so a faster call there
     reads as more memory until that record goes (ROADMAP item 1).
     """
+    if command is None:
+        names, metavar = _COMMANDS, None
+    elif command in _COMMANDS:
+        names, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
+    else:
+        raise ValueError(
+            f"unknown subcommand {command!r}; expected one of: {', '.join(_COMMANDS)}"
+        )
     parser = argparse.ArgumentParser(
         prog="qdverify",
         description="decide from fidelity data whether a channel beats "
@@ -543,12 +555,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"qdverify {__version__}"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, add_flags, _) in _COMMANDS.items():
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        summary, add_flags, _ = _COMMANDS[name]
         p = sub.add_parser(name, help=summary)
-        if command is None or command == name:
-            add_flags(p)
-            p.add_argument("--out", default=None, help="write the report here instead of stdout")
+        add_flags(p)
+        p.add_argument("--out", default=None, help="write the report here instead of stdout")
     return parser
 
 
@@ -570,9 +582,11 @@ def _write_all(files: list[tuple[str, str, str]]) -> None:
     or new path that an earlier flag already names (symlinks resolved; the
     second text would replace the first) are refused.  Each text bound for a
     regular file, or a new one, then goes to a fresh file beside it, and the
-    targets are replaced only once every text is written.  A device or pipe
-    such as /dev/stdout cannot be replaced, so it is written in place, after
-    them, and may be named twice.  Errors name the flag or the path given.
+    targets are replaced only once every text is written.  A replaced file
+    keeps its permission bits, and a new one gets 0o666 minus the umask.  A
+    device or pipe such as /dev/stdout cannot be replaced, so it is written
+    in place, after them, and may be named twice.  Errors name the flag or
+    the path given.
     """
     named, to_stage, in_place = {}, [], []
     for flag, path, text in files:
@@ -586,14 +600,17 @@ def _write_all(files: list[tuple[str, str, str]]) -> None:
                 continue
             if not os.access(path, os.W_OK):
                 raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        else:
+            mode = None
         real = os.path.realpath(path)
         if real in named:
             raise ValueError(f"{flag} {path!r} and {named[real]} name the same file")
         named[real] = f"{flag} {path!r}"
-        to_stage.append((path, real, text))
+        to_stage.append((path, real, text, mode))
     staged = []
     try:
-        for path, real, text in to_stage:
+        for path, real, text, mode in to_stage:
             tmp = f"{real}.{os.urandom(4).hex()}.tmp"
             try:
                 fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -601,6 +618,8 @@ def _write_all(files: list[tuple[str, str, str]]) -> None:
                 raise OSError(exc.errno, exc.strerror, path) from None
             staged.append((tmp, real))
             with open(fd, "w", encoding="utf-8", newline="") as fh:
+                if mode is not None:
+                    os.chmod(tmp, mode)
                 fh.write(text)
         for tmp, real in staged:
             os.replace(tmp, real)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -598,6 +599,27 @@ def test_out_and_curve_out_may_name_one_device_or_pipe(tmp_path, capsys):
     assert out.startswith("a,b\n") and json.loads(out[out.index("{"):])["command"] == "boundary"
 
 
+@pytest.mark.parametrize("flag, other", [("--out", "--curve-out"), ("--curve-out", "--out")])
+@pytest.mark.parametrize("via_link", [False, True], ids=["direct", "symlink"])
+def test_replaced_output_file_keeps_its_permission_bits(tmp_path, capsys, flag, other, via_link):
+    # a private report stays private; a new file gets 0o666 minus the umask
+    target, new = tmp_path / "private", tmp_path / "new"
+    target.write_text("old contents\n", encoding="utf-8")
+    target.chmod(0o600)
+    named = target
+    if via_link:
+        named = tmp_path / "link"
+        named.symlink_to(target)
+    umask = os.umask(0o027)
+    try:
+        code, cap = _run(capsys, [*CURVE_ARGVS["boundary"], flag, str(named), other, str(new)])
+    finally:
+        os.umask(umask)
+    assert (code, cap.out, cap.err) == (0, "", "")
+    assert target.read_text(encoding="utf-8") != "old contents\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+
 @pytest.mark.parametrize("dim", [-1, 0, DIM_RANGE[0] - 1, DIM_RANGE[1] + 1, 100_000])
 def test_oracle_check_rejects_dim_outside_its_range(capsys, dim):
     code, cap = _run(capsys, [*SMALL_ORACLE_ARGV, "--dim", str(dim)])
@@ -1030,3 +1052,88 @@ def test_consecutive_in_process_calls_match_fresh_processes(tmp_path):
         with redirect_stdout(out), redirect_stderr(err):
             code = main(list(argv))
         assert (code, out.getvalue(), err.getvalue()) == expected, argv
+
+
+def _count_parsers(monkeypatch, argv):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        main(argv)
+    return len(built)
+
+
+@pytest.mark.parametrize(
+    "argv, parsers",
+    [
+        (CRITERION_ARGV, 2),
+        ([*CRITERION_ARGV, "--gamma", "0.3"], 2),
+        *(([name, "--help"], 2) for name in COMMANDS),
+        (["-h"], 7),
+        (["nope"], 7),
+        ([], 7),
+    ],
+    ids=["criterion", "input-error", *(f"{name}-help" for name in COMMANDS), "top-help",
+         "unknown", "empty"],
+)
+def test_main_builds_the_invoked_subparser_only(monkeypatch, argv, parsers):
+    # the top-level parser and one subparser, or all six for a top-level call
+    assert _count_parsers(monkeypatch, argv) == parsers
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_subcommand_parser_registers_one_subcommand(command):
+    assert list(_subparsers(cli.build_parser(command))) == [command]
+
+
+def test_build_parser_refuses_an_unknown_subcommand():
+    with pytest.raises(ValueError, match="'nope'") as info:
+        cli.build_parser("nope")
+    assert all(name in str(info.value) for name in COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nope"], "argument command: invalid choice: 'nope'"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_top_level_errors_name_the_command_argument(capsys, argv, message):
+    # the full parser names the positional by its dest, not by a metavar
+    code, cap = _run(capsys, argv)
+    assert (code, cap.out) == (2, "")
+    assert f"qdverify: error: {message}" in cap.err
+
+
+# a complete argv of each subcommand, plus a flag that only another one has
+FOREIGN_FLAG_ARGV = {
+    "criterion": [*CRITERION_ARGV, "--points", "5"],
+    "boundary": [*CURVE_ARGVS["boundary"], "--alpha", "1.0"],
+    "coherent": ["coherent", "--alpha", "1.0", "--eta", "0.5", "--a", "0.9", "--b", "0.9",
+                 "--B", "0.5"],
+    "squeezed": [*CURVE_ARGVS["squeezed"], "--grid-size", "2"],
+    "table1": ["table1", "--a", "0.9"],
+    "oracle-check": ["oracle-check", "--record", "r.json"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_foreign_flag_error_names_all_six_subcommands(command):
+    # the error prints the top-level usage, which must not shrink to the one
+    # subcommand that main registered
+    argv = FOREIGN_FLAG_ARGV[command]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    assert (code, out.getvalue(), err.getvalue()) == _parse(cli.build_parser(), argv)
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("usage: qdverify [-h] [--version]")
+    assert f"{{{','.join(COMMANDS)}}} ..." in err.getvalue()
+    assert err.getvalue().endswith(
+        f"qdverify: error: unrecognized arguments: {' '.join(argv[-2:])}\n"
+    )
