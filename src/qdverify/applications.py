@@ -184,7 +184,9 @@ class StorageReport(_Value):
     after local refinement around the best grid point, ``theta_min`` its
     location, and ``verdict`` the test at that angle.  ``a`` and ``b``
     are the (equal) fidelities credited to the two probe states under the
-    report's ``mode``.
+    report's ``mode``.  ``thetas`` is one read-only array shared by every
+    report of the same grid size; the curves (``gamma_sq``,
+    ``gamma_prime_sq``, ``B``, ``rhs``) are fresh arrays of each report.
     """
 
     label: str
@@ -266,14 +268,36 @@ def _mode_inputs(rec: StorageRecord, mode: str) -> tuple[float, tuple[float, flo
     return fid, target
 
 
-def _overlaps(input_pair, target_pair, cos2t, sqrt, maximum, minimum):
-    # (gamma_sq, gamma_prime_sq, B) at cos2t = cos(2 theta), either in numpy
-    # on arrays or in math on one angle, which gives the same bits.  Where
-    # gamma_sq is exactly 1 (theta = 0, or equal variances) it can round to
-    # 1 + 2**-52, which would lift B above 1 under a vanishing gamma_prime_sq.
-    g_sq = minimum(_input_overlap_sq(*input_pair, cos2t, sqrt), 1.0)
-    gp_sq = _target_overlap_sq(*target_pair, cos2t, sqrt)
-    return g_sq, gp_sq, maximum((1.0 - gp_sq) * g_sq, 0.0)
+@functools.lru_cache(maxsize=2)
+def _grid(theta_points: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
+    # the scan angles over [0, pi/2] and their cos(2 theta), read-only
+    thetas = np.linspace(0.0, 0.5 * math.pi, theta_points)
+    grid = (thetas, np.cos(2.0 * thetas))
+    for arr in grid:
+        arr.setflags(write=False)
+    return grid
+
+
+def _input_curve(input_pair, cos2t):
+    """``gamma_sq`` on numpy ``cos2t``, clamped at 1.
+
+    Where gamma_sq is exactly 1 (theta = 0, or equal variances) it can round
+    to 1 + 2**-52, which would lift B above 1 under a vanishing gamma_prime_sq.
+    """
+    import numpy as np
+
+    return np.minimum(_input_overlap_sq(*input_pair)(cos2t, np.sqrt), 1.0)
+
+
+def _target_curves(g_sq, target_pair, cos2t):
+    """``(gamma_prime_sq, B, rhs)`` on numpy ``cos2t``, from the clamped ``g_sq``."""
+    import numpy as np
+
+    gp_sq = _target_overlap_sq(*target_pair)(cos2t, np.sqrt)
+    nonorth = np.maximum((1.0 - gp_sq) * g_sq, 0.0)
+    return gp_sq, nonorth, _bound(nonorth, 0.5, np.sqrt)
 
 
 def _curves(input_pair, target_pair, thetas):
@@ -281,15 +305,25 @@ def _curves(input_pair, target_pair, thetas):
     import numpy as np
 
     cos2t = np.cos(2.0 * np.asarray(thetas))
-    g_sq, gp_sq, nonorth = _overlaps(
-        input_pair, target_pair, cos2t, np.sqrt, np.maximum, np.minimum
-    )
-    return g_sq, gp_sq, nonorth, _bound(nonorth, 0.5, np.sqrt)
+    g_sq = _input_curve(input_pair, cos2t)
+    return (g_sq, *_target_curves(g_sq, target_pair, cos2t))
+
+
+def _nonorth_fn(input_pair, target_pair):
+    # B at one angle theta in scalar math, the numpy curves' B to the bit
+    g_sq_at, gp_sq_at = _input_overlap_sq(*input_pair), _target_overlap_sq(*target_pair)
+    cos = math.cos
+
+    def nonorth(theta):
+        cos2t = cos(2.0 * theta)
+        return max((1.0 - gp_sq_at(cos2t)) * min(g_sq_at(cos2t), 1.0), 0.0)
+
+    return nonorth
 
 
 def _nonorth_at(input_pair, target_pair, theta: float) -> float:
     """B at one angle in scalar math: ``float(_curves(...)[2])`` to the bit."""
-    return _overlaps(input_pair, target_pair, math.cos(2.0 * theta), math.sqrt, max, min)[2]
+    return _nonorth_fn(input_pair, target_pair)(theta)
 
 
 def _floor_at(input_pair, target_pair, theta: float) -> float:
@@ -312,14 +346,16 @@ def squeezed_storage_analysis(
 
     if theta_points < MIN_THETA_POINTS:
         raise ValueError(f"need at least {MIN_THETA_POINTS} grid points")
-    thetas = np.linspace(0.0, 0.5 * math.pi, theta_points)
+    thetas, cos2t = _grid(theta_points)
     input_pair = rec.input_state.linear_pair
     fid, target_pair = _mode_inputs(rec, mode)
-    g_sq, gp_sq, nonorth, rhs = _curves(input_pair, target_pair, thetas)
+    g_sq = _input_curve(input_pair, cos2t)
+    gp_sq, nonorth, rhs = _target_curves(g_sq, target_pair, cos2t)
 
     k = int(np.argmin(rhs))
+    nonorth_at = _nonorth_fn(input_pair, target_pair)
     x, fx = _refine(
-        functools.partial(_floor_at, input_pair, target_pair),
+        lambda theta: _bound(nonorth_at(theta), 0.5),
         float(thetas[max(k - 1, 0)]), float(thetas[min(k + 1, theta_points - 1)]),
         thetas[k], rhs[k],
     )
@@ -330,9 +366,9 @@ def squeezed_storage_analysis(
         theta_min = 0.0
 
     pair = FidelityPair(fid, fid)
-    verdict = qd_criterion(pair, _nonorth_at(input_pair, target_pair, theta_min))
+    verdict = qd_criterion(pair, nonorth_at(theta_min))
 
-    notes = [_alternate_note(rec, thetas, mode)]
+    notes = [_alternate_note(rec, mode, theta_points, g_sq)]
     if theta_min < 1e-6:
         notes.append(
             "benchmark floor sits at zero rotation, where the two probe "
@@ -357,7 +393,9 @@ def squeezed_storage_analysis(
     )
 
 
-def _alternate_note(rec: StorageRecord, thetas: np.ndarray, mode: str) -> str:
+def _alternate_note(rec: StorageRecord, mode: str, theta_points: int, g_sq: np.ndarray) -> str:
+    # the other mode's floor on the scan's grid; gamma_sq depends on the input
+    # alone, so only the other target's curve is new
     import numpy as np
 
     other = PURE_TARGET if mode == AS_PUBLISHED else AS_PUBLISHED
@@ -365,7 +403,8 @@ def _alternate_note(rec: StorageRecord, thetas: np.ndarray, mode: str) -> str:
         fid, target_pair = _mode_inputs(rec, other)
     except ValueError as exc:  # an output below the floor leaves pure_target undefined
         return str(exc)
-    rhs = _curves(rec.input_state.linear_pair, target_pair, thetas)[3]
+    thetas, cos2t = _grid(theta_points)
+    rhs = _target_curves(g_sq, target_pair, cos2t)[2]
     k = int(np.argmin(rhs))
     return (
         f"mode {other}: mean fidelity {fid:.6f}, benchmark floor "

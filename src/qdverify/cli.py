@@ -21,6 +21,7 @@ import json
 import math
 import os
 import random
+import re
 import stat
 import sys
 from pathlib import Path
@@ -535,9 +536,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     six in its usage line (the ``metavar``), so an error that prints the
     top-level usage, such as an unrecognized flag, reads as the full
     parser's; the full parser gets no ``metavar``, which would change the
-    "invalid choice" and "required" errors.  Nothing is cached across calls:
-    the warm benchmark keeps a record per operation, so a faster call there
-    reads as more memory until that record goes (ROADMAP item 1).
+    "invalid choice" and "required" errors.  No qdverify option looks like a
+    number, so every parser reads a token of ``-`` and a digit or ``.digit``
+    as a value.  argparse on its own reads only ``-5`` and ``-.5`` as
+    numbers, and takes ``-5e-1``, ``-5.`` and the ``-1e-05`` that ``repr``
+    prints for a small negative float for flags, so that
+    ``--squeezing-in-db -5e-1`` failed with "expected one argument".
+    Nothing is cached across calls: the warm benchmark keeps a record per
+    operation, so a faster call there reads as more memory until that
+    record goes (ROADMAP item 1).
     """
     if command is None:
         names, metavar = _COMMANDS, None
@@ -552,6 +559,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="decide from fidelity data whether a channel beats "
         "every measure-and-prepare strategy",
     )
+    parser._negative_number_matcher = re.compile(r"-\.?\d")
     parser.add_argument(
         "--version", action="version", version=f"qdverify {__version__}"
     )
@@ -559,6 +567,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name in names:
         summary, add_flags, _ = _COMMANDS[name]
         p = sub.add_parser(name, help=summary)
+        p._negative_number_matcher = parser._negative_number_matcher
         add_flags(p)
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
     return parser

@@ -16,11 +16,12 @@ truncated number-basis computations live in :mod:`qdverify.fock_oracle`
 and validate each formula in the test suite.
 
 The public functions check the variances they are given.  The private
-per-angle helpers (``_input_overlap_sq``, ``_target_overlap_sq`` and
+per-pair helpers (``_input_overlap_sq``, ``_target_overlap_sq`` and
 ``_rotation_spread``) check nothing: they take pairs that a
 :class:`SqueezingRecord`, and the storage record built from it, have
-already checked, and are written with positive terms only so that no
-step cancels.
+already checked, return a function of cos(2 theta) with the pair's
+constants rounded once, and are written with positive terms only so that
+no step cancels.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ def input_overlap_sq(x_var, y_var, theta):
     import numpy as np
 
     _check_variances(x_var, y_var, physical=True)
-    return _input_overlap_sq(x_var, y_var, np.cos(2.0 * np.asarray(theta)), np.sqrt)
+    return _input_overlap_sq(x_var, y_var)(np.cos(2.0 * np.asarray(theta)), np.sqrt)
 
 
 def target_overlap_sq(x_var, y_var, theta):
@@ -217,22 +218,36 @@ def target_overlap_sq(x_var, y_var, theta):
     import numpy as np
 
     _check_variances(x_var, y_var, physical=False)
-    return _target_overlap_sq(x_var, y_var, np.cos(2.0 * np.asarray(theta)), np.sqrt)
+    return _target_overlap_sq(x_var, y_var)(np.cos(2.0 * np.asarray(theta)), np.sqrt)
 
 
-# The two overlaps at cos2t = cos(2 theta), with the caller's numpy sqrt, so
-# that a scan computes the cosine once per angle and imports numpy once.
-# Neither checks its pair.  The input overlap is 2 / (sqrt(p**2 + s + 1) - p
-# + 1) with p = x_var * y_var and s the spread, its root difference written
-# as (s + 1) / (sqrt(p**2 + s + 1) + p) so that nothing cancels.
-def _input_overlap_sq(x_var, y_var, cos2t, sqrt):
+# The two overlaps of one pair, each as a function of cos2t = cos(2 theta)
+# and a sqrt: numpy's on an array of angles or math's on one angle, which
+# give the same bits.  The pair's constants are rounded once, when the
+# function is made, so a scan pays for them once however many angles it
+# evaluates.  Neither checks its pair.  The input overlap is
+# 2 / (sqrt(p**2 + s + 1) - p + 1) with p = x_var * y_var and s the spread,
+# its root difference written as (s + 1) / (sqrt(p**2 + s + 1) + p) so that
+# nothing cancels.
+def _input_overlap_sq(x_var, y_var):
+    spread_at = _rotation_spread(x_var, y_var)
     prod = x_var * y_var
-    spread = _rotation_spread(x_var, y_var, cos2t)
-    return 2.0 / ((spread + 1.0) / (sqrt(prod * prod + spread + 1.0) + prod) + 1.0)
+    prod_sq = prod * prod
+
+    def input_overlap_sq(cos2t, sqrt=math.sqrt):
+        spread = spread_at(cos2t)
+        return 2.0 / ((spread + 1.0) / (sqrt(prod_sq + spread + 1.0) + prod) + 1.0)
+
+    return input_overlap_sq
 
 
-def _target_overlap_sq(x_var, y_var, cos2t, sqrt):
-    return 2.0 / sqrt(2.0 + _rotation_spread(x_var, y_var, cos2t))
+def _target_overlap_sq(x_var, y_var):
+    spread_at = _rotation_spread(x_var, y_var)
+
+    def target_overlap_sq(cos2t, sqrt=math.sqrt):
+        return 2.0 / sqrt(2.0 + spread_at(cos2t))
+
+    return target_overlap_sq
 
 
 def _overlap_fits(x_var: float, y_var: float, *, physical: bool) -> bool:
@@ -243,20 +258,23 @@ def _overlap_fits(x_var: float, y_var: float, *, physical: bool) -> bool:
     (x_var * y_var)**2 + 1 to it; the sums are taken in the same order.
     An overflow at any step leaves the result infinite or NaN.
     """
-    worst = _rotation_spread(x_var, y_var, -1.0)
+    worst = _rotation_spread(x_var, y_var)(-1.0)
     if physical:
         prod = x_var * y_var
         worst = prod * prod + worst + 1.0
     return math.isfinite(worst)
 
 
-def _rotation_spread(x_var, y_var, cos2t):
-    # ((x + y)**2 - (x - y)**2 cos2t) / 2 in positive terms: at cos2t = 1 it
-    # is 2 x y, which the difference of squares loses once x / y nears 1/eps
-    return 0.5 * (
-        (x_var * x_var + y_var * y_var) * (1.0 - cos2t)
-        + 2.0 * x_var * y_var * (1.0 + cos2t)
-    )
+def _rotation_spread(x_var, y_var):
+    # ((x + y)**2 - (x - y)**2 cos2t) / 2 as a function of cos2t, in positive
+    # terms: at cos2t = 1 it is 2 x y, which the difference of squares loses
+    # once x / y nears 1/eps
+    sq_sum, cross = x_var * x_var + y_var * y_var, 2.0 * x_var * y_var
+
+    def spread(cos2t):
+        return 0.5 * (sq_sum * (1.0 - cos2t) + cross * (1.0 + cos2t))
+
+    return spread
 
 
 def _check_variances(x_var: float, y_var: float, *, physical: bool) -> None:

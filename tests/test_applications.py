@@ -14,6 +14,7 @@ from qdverify.applications import (
     StorageRecord,
     _curves,
     _floor_at,
+    _grid,
     _mode_inputs,
     _nonorth_at,
     benchmark_table,
@@ -201,6 +202,25 @@ SQUEEZING = st.builds(
     lambda sq, excess: SqueezingRecord(sq, excess - sq),
     st.floats(-10.0, 0.0), st.floats(0.0, 15.0),
 )
+
+
+def test_storage_grid_is_cached_and_read_only():
+    first = _grid(128)
+    assert _grid(128) is first
+    for arr in first:
+        assert arr.shape == (128,) and not arr.flags.writeable
+
+
+def test_storage_reports_share_the_grid_but_not_the_curves():
+    one, other = (squeezed_storage_analysis(BENCHMARK_RECORDS[1], 128) for _ in range(2))
+    assert one.thetas is other.thetas
+    with pytest.raises(ValueError, match="read-only"):
+        one.thetas[0] = 1.0
+    for name in ("gamma_sq", "gamma_prime_sq", "B", "rhs"):
+        mine, theirs = getattr(one, name), getattr(other, name)
+        assert mine.flags.writeable and mine.shape == (128,)
+        assert np.array_equal(mine, theirs) and not np.shares_memory(mine, theirs)
+        assert not np.shares_memory(mine, one.thetas)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -416,6 +436,40 @@ def test_pure_target_is_undefined_below_the_variance_floor():
     rep = squeezed_storage_analysis(BELOW_FLOOR, 64)
     assert rep.notes[0].startswith("mode pure_target is undefined for this record")
     assert "below 1" in rep.notes[0] and "mean fidelity" not in rep.notes[0]
+
+
+def _other_mode_note(rec, mode, theta_points):
+    # the note as a full scan in the other mode reads it, or that mode's refusal
+    other = PURE_TARGET if mode == AS_PUBLISHED else AS_PUBLISHED
+    try:
+        rep = squeezed_storage_analysis(rec, theta_points, other)
+    except ValueError as exc:
+        return str(exc)
+    k = int(np.argmin(rep.rhs))
+    return (
+        f"mode {other}: mean fidelity {rep.a:.6f}, benchmark floor "
+        f"{rep.rhs[k]:.6f} near rotation {rep.thetas[k]:.6f}"
+    )
+
+
+@pytest.mark.parametrize("theta_points", [64, 256])
+@pytest.mark.parametrize("mode", [AS_PUBLISHED, PURE_TARGET])
+@pytest.mark.parametrize("rec", [*BENCHMARK_RECORDS, BELOW_FLOOR], ids=lambda rec: rec.label)
+def test_storage_note_reads_the_other_mode(rec, mode, theta_points):
+    try:
+        rep = squeezed_storage_analysis(rec, theta_points, mode)
+    except ValueError:  # the below-floor output leaves pure_target undefined
+        assert rec is BELOW_FLOOR and mode == PURE_TARGET
+        return
+    assert rep.notes[0] == _other_mode_note(rec, mode, theta_points)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(SQUEEZING, SQUEEZING, st.sampled_from([AS_PUBLISHED, PURE_TARGET]))
+def test_storage_note_reads_the_other_mode_on_sampled_records(state_in, state_out, mode):
+    rec = StorageRecord("session", state_in, state_out)
+    rep = squeezed_storage_analysis(rec, 64, mode)
+    assert rep.notes[0] == _other_mode_note(rec, mode, 64)
 
 
 def test_storage_record_refuses_an_input_below_the_physical_floor():

@@ -313,6 +313,24 @@ def test_squeezed_incomplete_flags(capsys):
     assert "error:" in cap.err
 
 
+# a negative dB in exponent form, as repr writes a small one ("-1e-05"), or
+# with a trailing point: argparse alone reads only -5 and -.5 as numbers and
+# refused these with "expected one argument"
+@pytest.mark.parametrize("value", ["-5e-1", "-1e-05", "-5.", "-5E-1"])
+def test_squeezed_reads_a_negative_exponent_as_a_value(capsys, value):
+    tail = [*SQUEEZED_FLAG_ARGV[3:], "--theta-points", "64"]
+    code, cap = _run(capsys, ["squeezed", "--squeezing-in-db", value, *tail])
+    assert (code, cap.err) == (0, "")
+    assert json.loads(cap.out)["inputs"]["X_db"] == float(value)
+    assert _run(capsys, ["squeezed", f"--squeezing-in-db={value}", *tail]) == (code, cap)
+
+
+def test_coherent_negative_alpha_in_exponent_form_reaches_the_library(capsys):
+    code, cap = _run(capsys, ["coherent", "--alpha", "-1e0", "--eta", "0.5", "--a", "0.9",
+                              "--b", "0.9"])
+    assert (code, cap.out, cap.err) == (2, "", "error: alpha must be positive\n")
+
+
 def test_squeezed_curve_csv(tmp_path, capsys):
     path = tmp_path / "rec.json"
     path.write_text(json.dumps(RECORD), encoding="utf-8")
