@@ -526,50 +526,40 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``qdverify`` parser, with the subparser of ``command`` or of every subcommand.
+def _subcommand_flags(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with the flags of subcommand ``name`` and ``--out``.
 
-    Each subparser is a whole ``ArgumentParser``, so ``main`` registers only
-    the one it invokes: two parsers per call instead of seven.  With ``None``
-    all six are registered, for the top-level help, the "invalid choice"
-    error and a missing subcommand.  A one-subcommand parser still names all
-    six in its usage line (the ``metavar``), so an error that prints the
-    top-level usage, such as an unrecognized flag, reads as the full
-    parser's; the full parser gets no ``metavar``, which would change the
-    "invalid choice" and "required" errors.  No qdverify option looks like a
-    number, so every parser reads a token of ``-`` and a digit or ``.digit``
-    as a value.  argparse on its own reads only ``-5`` and ``-.5`` as
-    numbers, and takes ``-5e-1``, ``-5.`` and the ``-1e-05`` that ``repr``
-    prints for a small negative float for flags, so that
-    ``--squeezing-in-db -5e-1`` failed with "expected one argument".
-    Nothing is cached across calls: the warm benchmark keeps a record per
-    operation, so a faster call there reads as more memory until that
-    record goes (ROADMAP item 1).
+    Both the parser that ``main`` builds for ``argv[0]`` and each subparser
+    of :func:`build_parser` come from here, so the two read the same flags.
+    No qdverify option looks like a number, so the parser reads a token of
+    ``-`` and a digit or ``.digit`` as a value.  argparse on its own reads
+    only ``-5`` and ``-.5`` as numbers, and takes ``-5e-1``, ``-5.`` and the
+    ``-1e-05`` that ``repr`` prints for a small negative float for flags,
+    so that ``--squeezing-in-db -5e-1`` failed with "expected one argument".
     """
-    if command is None:
-        names, metavar = _COMMANDS, None
-    elif command in _COMMANDS:
-        names, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
-    else:
-        raise ValueError(
-            f"unknown subcommand {command!r}; expected one of: {', '.join(_COMMANDS)}"
-        )
+    parser._negative_number_matcher = re.compile(r"-\.?\d")
+    _, add_flags, _ = _COMMANDS[name]
+    add_flags(parser)
+    parser.add_argument("--out", default=None, help="write the report here instead of stdout")
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``qdverify`` parser, with every subcommand and its flags."""
     parser = argparse.ArgumentParser(
         prog="qdverify",
         description="decide from fidelity data whether a channel beats "
         "every measure-and-prepare strategy",
     )
-    parser._negative_number_matcher = re.compile(r"-\.?\d")
     parser.add_argument(
         "--version", action="version", version=f"qdverify {__version__}"
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        summary, add_flags, _ = _COMMANDS[name]
-        p = sub.add_parser(name, help=summary)
-        p._negative_number_matcher = parser._negative_number_matcher
-        add_flags(p)
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, _, _) in _COMMANDS.items():
+        _subcommand_flags(sub.add_parser(name, help=summary), name)
+    # the top level reads numbers as its subparsers do: `-5e-1 criterion`
+    # is an invalid choice, as `-1 criterion` is
+    parser._negative_number_matcher = sub.choices[name]._negative_number_matcher
     return parser
 
 
@@ -645,13 +635,22 @@ def _write_all(files: list[tuple[str, str, str]]) -> None:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    # An argv that starts with a subcommand is read by that subcommand's
+    # parser alone, which is what the full parser hands the rest of the argv
+    # to.  Any token it leaves unread, and any other argv, goes to the full
+    # parser, for its top-level usage and errors.
+    command = argv[0] if argv else None
     try:
-        args = build_parser(command).parse_args(argv)
+        if command in _COMMANDS:
+            parser = argparse.ArgumentParser(prog=f"qdverify {command}")
+            args, unread = _subcommand_flags(parser, command).parse_known_args(argv[1:])
+        if command not in _COMMANDS or unread:
+            args = build_parser().parse_args(argv)
+            command = args.command
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _, _, handler = _COMMANDS[args.command]
+        _, _, handler = _COMMANDS[command]
         report, curve, code = handler(args)
         text = json.dumps(report, indent=2, allow_nan=False) + "\n"
         files = []

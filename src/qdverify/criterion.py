@@ -62,7 +62,11 @@ BOUNDARY_TOL = 1e-9
 
 
 def _check_unit(name: str, value: float) -> float:
-    value = float(value)
+    """``value`` as a float, refusing text and anything outside [0, 1]."""
+    if type(value) is not float:  # a float passes through at no cost
+        if isinstance(value, (str, bytes, bytearray)):  # float() would parse them
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        value = float(value)
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return value
@@ -197,9 +201,10 @@ class OverlapPair(_Value):
     gamma_prime: float
 
     def __init__(self, gamma: float, gamma_prime: float) -> None:
-        self.__dict__.update(gamma=gamma, gamma_prime=gamma_prime)
-        _check_unit("gamma", self.gamma)
-        _check_unit("gamma_prime", self.gamma_prime)
+        self.__dict__.update(
+            gamma=_check_unit("gamma", gamma),
+            gamma_prime=_check_unit("gamma_prime", gamma_prime),
+        )
 
 
 class FidelityPair(_Value):
@@ -214,9 +219,7 @@ class FidelityPair(_Value):
     b: float
 
     def __init__(self, a: float, b: float) -> None:
-        self.__dict__.update(a=a, b=b)
-        _check_unit("a", self.a)
-        _check_unit("b", self.b)
+        self.__dict__.update(a=_check_unit("a", a), b=_check_unit("b", b))
 
     @property
     def mean(self) -> float:
@@ -283,7 +286,7 @@ def classical_fidelity_bound(B: float, p_plus: float) -> float:
     (1 + K) / 2 with K = sqrt(B * (2*p_plus - 1)**2 + 1 - B), lying in
     [1/2, 1].
     """
-    _check_unit("B", B)
+    B = _check_unit("B", B)
     return _bound(B, _check_unit("p_plus", p_plus))
 
 
@@ -372,7 +375,7 @@ def qd_criterion(f: FidelityPair, B: float) -> Verdict:
     verdicts rather than errors, with ``rhs`` NaN since the formula turns
     complex there.
     """
-    _check_unit("B", B)
+    B = _check_unit("B", B)
     a, b, swapped = _ordered(f)
     lhs = f.mean
     slope = b - a
@@ -399,7 +402,7 @@ def qd_criterion_numeric(f: FidelityPair, B: float) -> Verdict:
     :func:`qd_criterion` away from the boundary; kept as an independent
     evaluation path.
     """
-    _check_unit("B", B)
+    B = _check_unit("B", B)
     a, b, swapped = _ordered(f)
     lhs = f.mean
     slope = b - a

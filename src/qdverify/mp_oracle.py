@@ -194,7 +194,8 @@ def scheme_fidelity(
     p_plus: float,
 ) -> float:
     """Average fidelity of a scheme with optimal per-outcome preparations."""
-    _check_unit("gamma_prime", gamma_prime)
+    gamma_prime = _check_unit("gamma_prime", gamma_prime)
+    gamma, p_plus = _check_unit("gamma", gamma), _check_unit("p_plus", p_plus)
     ep = ensemble_params(gamma, p_plus)
     residuals = scheme.completeness_residuals(ep)
     if not all(abs(r) <= COMPLETENESS_TOL for r in residuals):  # NaN fails too
@@ -324,7 +325,8 @@ def optimize_scheme(
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
     _check_seed(seed)
-    _check_unit("gamma_prime", gamma_prime)
+    gamma_prime = _check_unit("gamma_prime", gamma_prime)
+    gamma, p_plus = _check_unit("gamma", gamma), _check_unit("p_plus", p_plus)
     coeffs = _payoff_coeffs(ensemble_params(gamma, p_plus), gamma, gamma_prime)
 
     phis, *trig = _grid(resolution)

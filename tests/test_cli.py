@@ -985,14 +985,45 @@ OTHER_FLAGS = sorted({
 })
 
 
+def _namespace(args):
+    # by repr, so that a NaN flag value compares equal to itself; only the
+    # full parser sets `command`
+    return repr(sorted((k, v) for k, v in vars(args).items() if k != "command"))
+
+
 def _parse(parser, argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            # by repr, so that a NaN flag value compares equal to itself
-            result = repr(sorted(vars(parser.parse_args(argv)).items()))
+            args = parser.parse_args(argv)
+            result = args.command, _namespace(args)
         except SystemExit as exc:
             result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class _Parsed(Exception):
+    """Stops main at its handler, carrying the subcommand and its Namespace."""
+
+
+def _stop_at(name):
+    def handler(args):
+        raise _Parsed(name, _namespace(args))
+
+    return handler
+
+
+def _main_parse(argv):
+    # what main dispatches argv to, in _parse's form: main runs with every
+    # handler replaced by one that stops it there
+    commands = {name: (*entry[:2], _stop_at(name)) for name, entry in cli._COMMANDS.items()}
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+        patch.setattr(cli, "_COMMANDS", commands)
+        try:
+            result = main(list(argv))
+        except _Parsed as parsed:
+            result = parsed.args
     return result, out.getvalue(), err.getvalue()
 
 
@@ -1039,16 +1070,28 @@ PARSED_ARGV = st.one_of(
 )
 
 
+CRITERION_FLAGS = {"--a": 0.93, "--b": 0.95, "--B": 0.25}
+
+
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(PARSED_ARGV, STRAY_FLAGS, st.booleans())
+# a top-level option after the subcommand, which only the full parser knows
+@example(("criterion", CRITERION_FLAGS), [("--version",)], False)
+@example(("criterion", CRITERION_FLAGS), [("-h",)], False)
+@example(("criterion", CRITERION_FLAGS), [("--",)], False)
+@example(("criterion", {"--a": 0.93}), [("--",), ("--b", "0.95")], False)
+# an abbreviated flag: ambiguous between --gamma and --gamma-prime, or not
+@example(("criterion", CRITERION_FLAGS), [("--gam", "0.3")], False)
+@example(("boundary", {}), [("--gamma-p", "0.3"), ("--gamma", "0.5")], True)
 def test_subcommand_parser_parses_like_the_full_parser(case, stray, equals):
-    # the same Namespace, or the same exit code and stderr, with or without
-    # the flags of the subcommands the argv does not invoke
+    # main dispatches the full parser's subcommand and Namespace, or exits
+    # with its code and output, with or without the flags of the
+    # subcommands the argv does not invoke
     command, flags = case
     pairs = [(f, v if isinstance(v, str) else repr(v)) for f, v in flags.items()] + stray
-    tail = [f"{f}={v}" for f, v in pairs] if equals else [t for pair in pairs for t in pair]
+    tail = ["=".join(pair) for pair in pairs] if equals else [t for pair in pairs for t in pair]
     argv = [command, *tail]
-    assert _parse(cli.build_parser(command), argv) == _parse(cli.build_parser(), argv)
+    assert _main_parse(argv) == _parse(cli.build_parser(), argv)
 
 
 def test_consecutive_in_process_calls_match_fresh_processes(tmp_path):
@@ -1072,7 +1115,7 @@ def test_consecutive_in_process_calls_match_fresh_processes(tmp_path):
         assert (code, out.getvalue(), err.getvalue()) == expected, argv
 
 
-def _count_parsers(monkeypatch, argv):
+def _built_parsers(monkeypatch, argv):
     built, init = [], argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
@@ -1082,36 +1125,47 @@ def _count_parsers(monkeypatch, argv):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         main(argv)
-    return len(built)
+    return built
 
 
 @pytest.mark.parametrize(
     "argv, parsers",
     [
-        (CRITERION_ARGV, 2),
-        ([*CRITERION_ARGV, "--gamma", "0.3"], 2),
-        *(([name, "--help"], 2) for name in COMMANDS),
+        (CRITERION_ARGV, 1),
+        ([*CRITERION_ARGV, "--gamma", "0.3"], 1),
+        *(([name, "--help"], 1) for name in COMMANDS),
+        ([*CRITERION_ARGV, "--points", "5"], 1 + 7),
         (["-h"], 7),
         (["nope"], 7),
         ([], 7),
     ],
-    ids=["criterion", "input-error", *(f"{name}-help" for name in COMMANDS), "top-help",
-         "unknown", "empty"],
+    ids=["criterion", "input-error", *(f"{name}-help" for name in COMMANDS), "foreign-flag",
+         "top-help", "unknown", "empty"],
 )
 def test_main_builds_the_invoked_subparser_only(monkeypatch, argv, parsers):
-    # the top-level parser and one subparser, or all six for a top-level call
-    assert _count_parsers(monkeypatch, argv) == parsers
+    # the subcommand's parser alone when it reads every token; the full
+    # parser (the top level and six subparsers) for a token it leaves unread
+    # and for an argv that does not start with a subcommand
+    assert len(_built_parsers(monkeypatch, argv)) == parsers
+
+
+def _flag_table(parser):
+    return [
+        (a.option_strings, a.dest, a.nargs, a.type, a.default, a.required, a.choices, a.help)
+        for a in parser._actions
+    ]
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_subcommand_parser_registers_one_subcommand(command):
-    assert list(_subparsers(cli.build_parser(command))) == [command]
-
-
-def test_build_parser_refuses_an_unknown_subcommand():
-    with pytest.raises(ValueError, match="'nope'") as info:
-        cli.build_parser("nope")
-    assert all(name in str(info.value) for name in COMMANDS)
+def test_subcommand_parser_registers_one_subcommand(monkeypatch, command):
+    # the one parser main builds for a subcommand holds that subcommand's
+    # flags as the full parser's subparser does, number matcher included,
+    # and no subparsers
+    (parser,) = _built_parsers(monkeypatch, [command, "--help"])
+    assert parser.prog == SUBPARSERS[command].prog
+    assert _flag_table(parser) == _flag_table(SUBPARSERS[command])
+    assert parser._negative_number_matcher.match("-5e-1")
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
 
 
 @pytest.mark.parametrize(
@@ -1142,8 +1196,8 @@ FOREIGN_FLAG_ARGV = {
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_foreign_flag_error_names_all_six_subcommands(command):
-    # the error prints the top-level usage, which must not shrink to the one
-    # subcommand that main registered
+    # the subcommand's parser leaves the flag unread, so the full parser
+    # reports it, with the top-level usage that names all six
     argv = FOREIGN_FLAG_ARGV[command]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

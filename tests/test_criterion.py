@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,7 +36,14 @@ from qdverify.criterion import (
     total_nonorthogonality,
 )
 from qdverify.cli import AGREEMENT_TOL
-from qdverify.mp_oracle import _pair_at, _payoff_coeffs, ensemble_params
+from qdverify.mp_oracle import (
+    CQScheme,
+    _pair_at,
+    _payoff_coeffs,
+    ensemble_params,
+    optimize_scheme,
+    scheme_fidelity,
+)
 
 # Values computed independently from the defining formulas (exact binomial
 # of square roots, long-double grid sweeps), frozen here.
@@ -101,6 +109,55 @@ def test_input_validation():
         classical_fidelity_bound(0.5, 1.5)
     with pytest.raises(ValueError):
         classical_fidelity_bound(1.1, 0.5)
+
+
+# each argument that must lie in [0, 1], as a function of that argument alone
+PAIR = FidelityPair(0.9, 0.95)
+ANTIPODAL = CQScheme((1.0, 1.0), (0.0, math.pi))
+UNIT_ARGUMENTS = {
+    "FidelityPair.a": lambda v: FidelityPair(v, 0.95),
+    "FidelityPair.b": lambda v: FidelityPair(0.9, v),
+    "OverlapPair.gamma": lambda v: OverlapPair(v, 0.5),
+    "OverlapPair.gamma_prime": lambda v: OverlapPair(0.5, v),
+    "classical_fidelity_bound.B": lambda v: classical_fidelity_bound(v, 0.5),
+    "classical_fidelity_bound.p_plus": lambda v: classical_fidelity_bound(0.5, v),
+    "qd_criterion.B": lambda v: qd_criterion(PAIR, v),
+    "qd_criterion_numeric.B": lambda v: qd_criterion_numeric(PAIR, v),
+    "scheme_fidelity.gamma": lambda v: scheme_fidelity(ANTIPODAL, v, 0.6, 0.5),
+    "scheme_fidelity.gamma_prime": lambda v: scheme_fidelity(ANTIPODAL, 0.5, v, 0.5),
+    "scheme_fidelity.p_plus": lambda v: scheme_fidelity(ANTIPODAL, 0.5, 0.6, v),
+    "optimize_scheme.gamma": lambda v: optimize_scheme(v, 0.3, 0.5, 16, n_random=0),
+    "optimize_scheme.gamma_prime": lambda v: optimize_scheme(0.5, v, 0.5, 16, n_random=0),
+    "optimize_scheme.p_plus": lambda v: optimize_scheme(0.5, 0.3, v, 16, n_random=0),
+}
+
+
+@pytest.mark.parametrize("call", UNIT_ARGUMENTS.values(), ids=UNIT_ARGUMENTS)
+@pytest.mark.parametrize("text", ["0.5", "1", "", b"0.5", bytearray(b"1")])
+def test_unit_arguments_refuse_text(call, text):
+    # a ValueError from the check, not a TypeError from the arithmetic after it
+    with pytest.raises(ValueError, match=re.escape(f"must be a number, got {text!r}")):
+        call(text)
+
+
+def test_pairs_hold_the_floats_they_checked():
+    assert FidelityPair(True, 1) == FidelityPair(1.0, 1.0)
+    assert type(FidelityPair(True, 1).a) is float
+    held = OverlapPair(np.float64(0.3), 1)
+    assert (type(held.gamma), type(held.gamma_prime)) == (float, float)
+    assert qd_criterion(FidelityPair(1, 1), np.float64(0.25)) == qd_criterion(
+        FidelityPair(1.0, 1.0), 0.25
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_pairs_keep_every_bit_of_a_float(x, y):
+    pair, overlaps = FidelityPair(x, y), OverlapPair(x, y)
+    assert [v.hex() for v in (pair.a, pair.b, overlaps.gamma, overlaps.gamma_prime)] == [
+        x.hex(), y.hex(), x.hex(), y.hex()
+    ]
+    assert classical_fidelity_bound(x, y).hex() == _bound(x, y).hex()
 
 
 def test_flat_chord_verdicts():
